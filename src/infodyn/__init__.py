@@ -20,7 +20,6 @@ from .control import (
     classify_loop,
     controllability,
     kl_objective,
-    kl_to_reference,
     missing_information,
     noisy_observability_bound,
     observability,

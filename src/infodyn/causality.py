@@ -9,7 +9,7 @@ identity  sum(fluxes) + leak = H(target future)  hold by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -74,51 +74,47 @@ class FluxReport:
         return self.leak / self.target_entropy
 
 
-class _FluxEngine:
-    """Caches conditional entropies H(target_future | conditioning set)
-    computed from the single (N_v + 1)-dimensional joint PMF."""
+def _check_lattice_size(n_variables: int, order: int):
+    n_sets = sum(comb(n_variables, k) for k in range(order + 1))
+    if n_sets > SUBSET_CAP:
+        raise ValueError(f"flux lattice ({n_sets} conditioning sets) exceeds cap {SUBSET_CAP}")
 
-    def __init__(self, query: FluxQuery = None, joint: JointPMF = None):
-        if joint is None:
-            self.n_vars = query.symbols.n_variables
-            selection = [(query.target, query.lag)] + [(v, 0) for v in range(self.n_vars)]
-            joint = estimate_joint_pmf(query.symbols, selection)
-        else:
-            self.n_vars = joint.ndim - 1
-        self.joint = joint
-        self._cache: dict[frozenset, float] = {}
 
-    def cond_entropy(self, cond_vars) -> float:
-        """H(target future | past variables in cond_vars); dim 0 is the
-        future target, past variable v lives at dim v + 1."""
-        key = frozenset(cond_vars)
-        if key not in self._cache:
-            dims = [v + 1 for v in sorted(cond_vars)]
-            self._cache[key] = infocore.conditional_entropy(self.joint, [0], dims)
-        return self._cache[key]
+def _flux_lattice(joint: JointPMF, variables, order: int):
+    """Fluxes to dim 0 of `joint` from every subset of `variables` with
+    1..order members (present variable v lives at dim v + 1), and the leak.
 
-    def flux(self, subset) -> float:
-        subset = tuple(sorted(subset))
-        everything = set(range(self.n_vars))
-        total = 0.0
-        for k in range(len(subset) + 1):
-            for removed in combinations(subset, k):
-                cond = everything - (set(subset) - set(removed))
-                total += (-1) ** k * self.cond_entropy(cond)
-        return total
+    For each subset A (keyed by bitmask) h[A] = H(target | every present
+    variable outside A) is computed once. These subsets are closed under
+    removal, so an in-place Moebius transform over them turns h[S] into the
+    flux of S and leaves h[empty] = H(target | all present variables), the
+    leak.
+    """
+    _check_lattice_size(len(variables), order)
+    n = joint.ndim - 1
+    subsets = [s for k in range(order + 1) for s in combinations(variables, k)]
+    masks = [sum(1 << v for v in s) for s in subsets]
+    h = {m: infocore.conditional_entropy(joint, [0], [v + 1 for v in range(n) if not m >> v & 1])
+         for m in masks}
+    leak = h[0]
+    for v in variables:
+        bit = 1 << v
+        for m in h:
+            if m & bit:
+                h[m] -= h[m ^ bit]
+    return {s: h[m] for s, m in zip(subsets[1:], masks[1:])}, leak
 
-    def leak(self) -> float:
-        return self.cond_entropy(range(self.n_vars))
 
-    def target_entropy(self) -> float:
-        return infocore.entropy(self.joint, [0])
+def _joint(query: FluxQuery) -> JointPMF:
+    selection = [(query.target, query.lag)] + [(v, 0) for v in range(query.symbols.n_variables)]
+    return estimate_joint_pmf(query.symbols, selection)
 
 
 def information_flux(query: FluxQuery, subset) -> float:
     """Information flux T (bits) from the past of `subset` to the target's
     future: the information exclusively contributed by the joint effect of
     all subset variables. May be negative for odd subset sizes >= 3."""
-    subset = list(subset)
+    subset = tuple(sorted(subset))
     if not subset:
         raise ValueError("subset must be non-empty")
     if len(set(subset)) != len(subset):
@@ -126,13 +122,13 @@ def information_flux(query: FluxQuery, subset) -> float:
     for v in subset:
         if not 0 <= v < query.symbols.n_variables:
             raise ValueError(f"invalid variable index {v}")
-    return _FluxEngine(query).flux(subset)
+    return _flux_lattice(_joint(query), subset, len(subset))[0][subset]
 
 
 def information_leak(query: FluxQuery) -> float:
     """H(target future | all present variables): information in the target's
     future unexplained by every observed variable."""
-    return _FluxEngine(query).leak()
+    return _flux_lattice(_joint(query), (), 0)[1]
 
 
 def flux_report(query: FluxQuery) -> FluxReport:
@@ -141,41 +137,23 @@ def flux_report(query: FluxQuery) -> FluxReport:
     With max_order == n_variables the report satisfies
     sum(fluxes) + leak == target entropy to machine precision.
     """
-    n = query.symbols.n_variables
-    n_subsets = sum(comb(n, k) for k in range(1, query.max_order + 1))
-    if n_subsets > SUBSET_CAP:
-        raise ValueError(f"subset enumeration ({n_subsets}) exceeds cap {SUBSET_CAP}")
-    engine = _FluxEngine(query)
-    fluxes = {}
-    for size in range(1, query.max_order + 1):
-        for subset in combinations(range(n), size):
-            fluxes[subset] = engine.flux(subset)
-    return FluxReport(
-        target=query.target,
-        lag=query.lag,
-        fluxes=fluxes,
-        leak=engine.leak(),
-        target_entropy=engine.target_entropy(),
-    )
+    # refuse an oversized lattice before estimating the joint
+    _check_lattice_size(query.symbols.n_variables, query.max_order)
+    return flux_report_from_pmf(_joint(query), query.target, query.lag, query.max_order)
 
 
 def flux_report_from_pmf(joint: JointPMF, target: int = 0, lag: int = 1, max_order: int | None = None) -> FluxReport:
     """Flux report computed from an exact joint PMF whose dimension 0 is
     the target's future and dimensions 1..N are the present variables.
     `target` and `lag` only label the report."""
-    engine = _FluxEngine(joint=joint)
-    n = engine.n_vars
-    order = n if max_order is None else max_order
-    fluxes = {}
-    for size in range(1, order + 1):
-        for subset in combinations(range(n), size):
-            fluxes[subset] = engine.flux(subset)
+    n = joint.ndim - 1
+    fluxes, leak = _flux_lattice(joint, tuple(range(n)), n if max_order is None else max_order)
     return FluxReport(
         target=target,
         lag=lag,
         fluxes=fluxes,
-        leak=engine.leak(),
-        target_entropy=engine.target_entropy(),
+        leak=leak,
+        target_entropy=infocore.entropy(joint, [0]),
     )
 
 
@@ -203,20 +181,27 @@ class CausalityMap:
                 out[subset[0], :] = self.values[s, :]
         return out
 
+    @classmethod
+    def from_reports(cls, reports, order: int) -> "CausalityMap":
+        """Map read from one FluxReport per target, in target order, each
+        holding every subset of size <= order. `reports` may be a generator:
+        it is consumed only after `order` is checked."""
+        if order not in (1, 2, 3):
+            raise ValueError("order must be 1, 2, or 3")
+        reports = list(reports)
+        n = len(reports)
+        subsets = [s for k in range(1, order + 1) for s in combinations(range(n), k)]
+        values = np.array([[rep.fluxes[s] for rep in reports] for s in subsets])
+        self_flux = np.array([[j in subset for j in range(n)] for subset in subsets])
+        return cls(order=order, lag=reports[0].lag, subsets=subsets, values=values, self_flux=self_flux)
+
 
 def causality_map(symbols: SymbolSeries, lag: int = 1, order: int = 1) -> CausalityMap:
     """Flux from every subset of size <= order to every target variable."""
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2, or 3")
     n = symbols.n_variables
-    subsets = [s for k in range(1, order + 1) for s in combinations(range(n), k)]
-    values = np.zeros((len(subsets), n))
-    for j in range(n):
-        engine = _FluxEngine(FluxQuery(symbols, target=j, lag=lag, max_order=order))
-        for s, subset in enumerate(subsets):
-            values[s, j] = engine.flux(subset)
-    self_flux = np.array([[j in subset for j in range(n)] for subset in subsets])
-    return CausalityMap(order=order, lag=lag, subsets=subsets, values=values, self_flux=self_flux)
+    reports = (flux_report(FluxQuery(symbols, target=j, lag=lag, max_order=min(order, n)))
+               for j in range(n))
+    return CausalityMap.from_reports(reports, order)
 
 
 def correlation_map(signal: SignalMatrix, lag: int = 1) -> np.ndarray:

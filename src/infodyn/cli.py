@@ -2,8 +2,9 @@
 
 Subcommands: simulate | causality | fit | control | fixtures. Each reads a
 JSON config, writes CSV and JSON reports into a run directory, and exits
-with 0 on success, 2 on config or input errors, 3 when a fit fails to
-converge, and 4 on plant failure. Reports embed the resolved config and
+with 0 on success, 1 when the causality decomposition identity check
+fails, 2 on config or input errors, 3 when a fit fails to converge, and 4
+on plant failure. Reports embed the resolved config and
 are byte-identical across repeated runs with the same config and seed.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -22,7 +24,10 @@ from .modeling import ModelParams
 from .signals import SignalMatrix, read_csv, write_csv
 from .systems import NumericalBlowup, SystemSpec
 
+log = logging.getLogger(__name__)
+
 EXIT_OK = 0
+EXIT_IDENTITY = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_PLANT_FAILURE = 4
@@ -166,26 +171,23 @@ def cmd_causality(config: dict, args, out_dir: Path) -> int:
     tol = float(config.get("identity_tolerance", 1e-10))
     symbols = discretize(signal, PartitionSpec(scheme=scheme, bins_per_variable=bins))
 
-    cmap = causality.causality_map(symbols, lag=lag, order=order)
+    # one full-order report per target gives the map and the identity check
+    reports = [causality.flux_report(causality.FluxQuery(symbols, target=j, lag=lag))
+               for j in range(signal.n_variables)]
+    cmap = causality.CausalityMap.from_reports(reports, order)
     with (out_dir / "flux_map.csv").open("w") as fh:
         fh.write("subset," + ",".join(f"to_{n}" for n in signal.names) + "\n")
         for s, subset in enumerate(cmap.subsets):
             label = "+".join(signal.names[v] for v in subset)
             fh.write(label + "," + ",".join(repr(float(v)) for v in cmap.values[s]) + "\n")
 
-    # full-order reports per target: decomposition identity and leak fractions
-    identity_ok = True
     leaks = {}
     residuals = {}
-    for j in range(signal.n_variables):
-        rep = causality.flux_report(causality.FluxQuery(symbols, target=j, lag=lag))
-        residual = abs(sum(rep.fluxes.values()) + rep.leak - rep.target_entropy)
-        residuals[signal.names[j]] = residual
-        leaks[signal.names[j]] = rep.normalized_leak
-        if residual > tol:
-            identity_ok = False
-    for name in signal.names:
-        print(f"leak fraction {name}: {leaks[name]:.6f}")
+    for name, rep in zip(signal.names, reports):
+        residuals[name] = abs(sum(rep.fluxes.values()) + rep.leak - rep.target_entropy)
+        leaks[name] = rep.normalized_leak
+        log.info("leak fraction %s: %.6f", name, leaks[name])
+    identity_ok = all(r <= tol for r in residuals.values())
     _write_report(out_dir, {
         "command": "causality",
         "config": {"lag": lag, "order": order, "bins": bins, "scheme": scheme,
@@ -198,7 +200,7 @@ def cmd_causality(config: dict, args, out_dir: Path) -> int:
         "subsets": [list(s) for s in cmap.subsets],
         "flux_values": cmap.values,
     })
-    return EXIT_OK if identity_ok else 1
+    return EXIT_OK if identity_ok else EXIT_IDENTITY
 
 
 FIT_FAMILIES = ("affine-noise",)
@@ -371,8 +373,6 @@ def main(argv=None) -> int:
     parser.add_argument("--bins", type=int, default=None)
     parser.add_argument("--lag", type=int, default=None)
     parser.add_argument("--order", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted for interface compatibility; execution is sequential")
     args = parser.parse_args(argv)
 
     try:

@@ -35,7 +35,6 @@ __all__ = [
     "build_auxiliary_target",
     "kl_objective",
     "optimize_controller",
-    "kl_to_reference",
     "rollout",
 ]
 
@@ -267,12 +266,6 @@ def build_auxiliary_target(samples: SignalMatrix, target: ControlTarget, relax=N
     spec = PartitionSpec("explicit-edges", edges=tuple(np.asarray(e, dtype=float) for e in edges))
     symbols = discretize(SignalMatrix(transformed, samples.names, samples.dt), spec)
     return estimate_joint_pmf(symbols, [(v, 0) for v in range(symbols.n_variables)])
-
-
-def kl_to_reference(jn1: JointPMF, reference: JointPMF) -> float:
-    """KL divergence of the achieved target-state distribution from the
-    prescribed one; alias of kl_divergence."""
-    return infocore.kl_divergence(jn1, reference)
 
 
 def rollout(plant, params: ControllerParams, n_steps: int, transient: int, seed: int) -> SignalMatrix:

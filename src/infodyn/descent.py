@@ -9,7 +9,6 @@ the same point returns the same value.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,15 +64,16 @@ class OptimizationTrace:
             "best_theta": [float(t) for t in best["theta"]],
         }
 
-    def write_json(self, path):
-        Path(path).write_text(json.dumps(self.summary(), sort_keys=True, indent=2) + "\n")
-
 
 def _project(theta, bounds):
     if bounds is None:
         return theta
     b = np.asarray(bounds, dtype=float)
     return np.clip(theta, b[:, 0], b[:, 1])
+
+
+def _fd_steps(theta, fd_step):
+    return np.maximum(fd_step, fd_step * np.abs(theta))
 
 
 def fd_gradient(f, theta, f0=None, fd_step: float = 1e-4):
@@ -85,8 +85,7 @@ def fd_gradient(f, theta, f0=None, fd_step: float = 1e-4):
     if f0 is None:
         f0 = f(theta)
     g = np.zeros_like(theta)
-    for i in range(theta.size):
-        h = max(fd_step, fd_step * abs(theta[i]))
+    for i, h in enumerate(_fd_steps(theta, fd_step)):
         probe = theta.copy()
         probe[i] += h
         g[i] = (f(probe) - f0) / h
@@ -110,8 +109,11 @@ def minimize(
     are of the minimized objective sign*f. Stops when the evaluated
     objective improves by less than tol between consecutive iterations, the
     gradient vanishes, or max_iters is reached (trace.converged says which).
+    A coordinate whose forward probe would pass its upper bound is probed
+    backward instead, so f is only evaluated within the bounds.
     """
     theta = _project(np.asarray(theta0, dtype=float).copy(), bounds)
+    upper = np.inf if bounds is None else np.asarray(bounds, dtype=float)[:, 1]
     if trace is None:
         trace = OptimizationTrace()
     obj = lambda t: sign * f(t)
@@ -119,7 +121,13 @@ def minimize(
     best_theta, best_val = theta.copy(), np.inf
     last_val = None
     for it in range(max_iters):
-        val, grad = fd_gradient(obj, theta, fd_step=fd_step)
+        # mirror obj about theta along the backward coordinates, so that the
+        # forward probe there lands at theta_i - h; negating that slope
+        # gives the backward difference
+        back = theta + _fd_steps(theta, fd_step) > upper
+        mirrored = lambda t: obj(np.where(back, 2 * theta - t, t))
+        val, grad = fd_gradient(mirrored, theta, fd_step=fd_step)
+        grad = np.where(back, -grad, grad)
         if val < best_val:
             best_val, best_theta = val, theta.copy()
         gnorm = float(np.linalg.norm(grad))

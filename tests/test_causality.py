@@ -1,5 +1,10 @@
+import time
+from itertools import combinations, product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infodyn import infocore
 from infodyn.causality import (
@@ -18,6 +23,32 @@ from infodyn.signals import SignalMatrix
 from infodyn.systems import symbolic_map_suite
 
 SUITE = symbolic_map_suite()
+
+
+def inclusion_exclusion_flux(joint, subset):
+    """Oracle: the flux of `subset` as the direct alternating sum of
+    H(target | everything outside a reduced subset) over every reduced
+    subset. A full report costs 3^n terms this way, so only small joints
+    (n <= 5 present variables) are checked against it."""
+    n = joint.ndim - 1
+    total = 0.0
+    for k in range(len(subset) + 1):
+        for removed in combinations(subset, k):
+            kept = set(subset) - set(removed)
+            given = [v + 1 for v in range(n) if v not in kept]
+            total += (-1) ** k * infocore.conditional_entropy(joint, [0], given)
+    return total
+
+
+@st.composite
+def sparse_joints(draw):
+    """Random sparse joint over (target future, n present variables)."""
+    n = draw(st.integers(1, 5))
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=n + 1, max_size=n + 1)))
+    cells = list(product(*(range(d) for d in dims)))
+    rows = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=20, unique=True))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(rows), max_size=len(rows))))
+    return JointPMF.from_mapping(dict(zip(rows, weights / weights.sum())), dims)
 
 
 def test_query_validation():
@@ -151,3 +182,85 @@ def test_information_leak_matches_report():
     sym = fx.sample(3000, seed=7)
     query = FluxQuery(sym, target=1)
     assert information_leak(query) == pytest.approx(flux_report(query).leak, abs=1e-12)
+
+
+def test_lattice_matches_oracle_on_fixtures():
+    for fx in SUITE.values():
+        rep = flux_report_from_pmf(fx.exact_joint)
+        for subset, value in rep.fluxes.items():
+            assert value == pytest.approx(inclusion_exclusion_flux(fx.exact_joint, subset), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_joints())
+def test_lattice_matches_oracle_on_random_joints(joint):
+    rep = flux_report_from_pmf(joint)
+    for subset, value in rep.fluxes.items():
+        assert abs(value - inclusion_exclusion_flux(joint, subset)) <= 1e-12
+    n = joint.ndim - 1
+    assert abs(rep.leak - infocore.conditional_entropy(joint, [0], range(1, n + 1))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_joints())
+def test_decomposition_identity_on_random_joints(joint):
+    rep = flux_report_from_pmf(joint)
+    assert abs(sum(rep.fluxes.values()) + rep.leak - infocore.entropy(joint, [0])) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_joints(), st.data())
+def test_flux_chain_rule_on_random_joints(joint, data):
+    # the fluxes of the non-empty subsets of S add up to I(target; S | rest),
+    # which the chain rule splits into one conditional MI per member of S
+    n = joint.ndim - 1
+    subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(sorted))
+    rep = flux_report_from_pmf(joint)
+    lattice_sum = sum(v for s, v in rep.fluxes.items() if set(s) <= set(subset))
+    given_dims = [v + 1 for v in range(n) if v not in subset]
+    chain = 0.0
+    for v in subset:
+        chain += infocore.conditional_mutual_information(joint, [0], [v + 1], given_dims)
+        given_dims = given_dims + [v + 1]
+    assert abs(lattice_sum - chain) <= 1e-10
+
+
+def test_report_keys_by_size_then_lexicographic():
+    rep = flux_report_from_pmf(SUITE["xor"].exact_joint)
+    assert list(rep.fluxes) == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+
+
+def test_truncated_report_matches_full_report():
+    joint = SUITE["xor"].exact_joint
+    full = flux_report_from_pmf(joint)
+    truncated = flux_report_from_pmf(joint, max_order=1)
+    assert truncated.fluxes == {s: v for s, v in full.fluxes.items() if len(s) == 1}
+    assert truncated.leak == full.leak
+
+
+def test_information_flux_matches_report():
+    sym = SUITE["xor"].sample(3000, seed=4)
+    query = FluxQuery(sym, target=2)
+    rep = flux_report(query)
+    for subset, value in rep.fluxes.items():
+        assert information_flux(query, reversed(subset)) == pytest.approx(value, abs=1e-12)
+
+
+def test_causality_map_rows_match_reports():
+    sym = SUITE["xor"].sample(3000, seed=5)
+    cmap = causality_map(sym, lag=1, order=2)
+    for j in range(sym.n_variables):
+        rep = flux_report(FluxQuery(sym, target=j, lag=1))
+        for s, subset in enumerate(cmap.subsets):
+            assert cmap.values[s, j] == pytest.approx(rep.fluxes[subset], abs=1e-12)
+
+
+def test_lattice_cap_refuses_at_once():
+    # 21 present variables: the full lattice has 2^21 conditioning sets
+    joint = JointPMF((2,) * 22, np.zeros((1, 22), dtype=int), [1.0])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds cap"):
+        flux_report_from_pmf(joint)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="exceeds cap"):
+        flux_report(FluxQuery(SymbolSeries(np.zeros((10, 21), dtype=int), (2,) * 21), target=0))

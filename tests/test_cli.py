@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -53,6 +54,20 @@ def test_causality_from_system(tmp_path):
     assert all(v < 1e-10 for v in report["identity_residuals"].values())
     header = (out / "flux_map.csv").read_text().splitlines()[0]
     assert header == "subset,to_x,to_y"
+
+
+def test_causality_identity_failure_exits_1(tmp_path, capsys, caplog):
+    caplog.set_level(logging.INFO, logger="infodyn.cli")
+    code, out = run(tmp_path, "causality", {
+        "system": {"kind": "coupled-logistic", "n_steps": 5000, "transient_steps": 500, "seed": 2},
+        "bins": 4, "identity_tolerance": -1,
+    })
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    assert not report["identity_ok"]
+    # leak fractions go to the report and the log, not to stdout
+    assert capsys.readouterr().out == ""
+    assert "leak fraction x:" in caplog.text and "leak fraction y:" in caplog.text
 
 
 def test_causality_from_csv_input(tmp_path):

@@ -86,6 +86,23 @@ def test_minimize_respects_bounds():
     assert theta[0] <= 1.0 + 1e-12
 
 
+def test_minimize_probes_backward_at_upper_bound():
+    # the optimum lies beyond theta[0]'s upper bound, and f refuses to be
+    # evaluated outside the box, as the control and fit objectives do
+    def f(t):
+        if not (0.0 <= t[0] <= 1.0 and -1.0 <= t[1] <= 1.0):
+            raise ValueError("theta outside bounds")
+        return float((t[0] - 5.0) ** 2 + (t[1] - 0.2) ** 2)
+
+    theta, _, trace = minimize(f, [0.5, 0.0], bounds=[[0.0, 1.0], [-1.0, 1.0]], tol=1e-12)
+    assert theta[0] == 1.0
+    assert theta[1] == pytest.approx(0.2, abs=1e-3)
+    # the backward slope keeps pushing theta[0] into its bound
+    path = [r["theta"][0] for r in trace.records]
+    assert 1.0 in path[:-1]
+    assert all(t == 1.0 for t in path[path.index(1.0):])
+
+
 def test_minimize_maximization_sign():
     f = lambda t: float(-(t[0] - 1.5) ** 2)
     theta, _, _ = minimize(f, [0.0], sign=-1.0, tol=1e-10)

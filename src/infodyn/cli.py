@@ -64,7 +64,7 @@ SCHEMAS = {
         "ml_check": {"p_true", "p_grid", "n_samples", "seed"},
     },
     "control": {
-        "plant": {"a", "noise_std", "sensor_noise_std", "max_delay"},
+        "plant": set(systems.PLANT_KEYS),
         "target": {"mu", "sigma", "relax_mu", "relax_sigma"},
         "init": {"theta_s", "theta_aa", "bounds_s", "bounds_aa"},
         "options": {
@@ -97,6 +97,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if isinstance(obj, bool):  # before int, of which bool is a subclass
+        return obj
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -282,12 +284,7 @@ def _run_ml_check(p_true, p_grid, n_samples, seed):
 
 def cmd_control(config: dict, args, out_dir: Path) -> int:
     plant_cfg = config.get("plant", {})
-    plant = systems.LinearPlant(
-        a=float(plant_cfg.get("a", 0.9)),
-        noise_std=float(plant_cfg.get("noise_std", 0.5)),
-        sensor_noise_std=float(plant_cfg.get("sensor_noise_std", 0.1)),
-        max_delay=float(plant_cfg.get("max_delay", 4.0)),
-    )
+    plant = systems.LinearPlant(**{k: float(v) for k, v in plant_cfg.items()})
     tgt_cfg = config.get("target", {})
     mu = np.atleast_1d(np.asarray(tgt_cfg.get("mu", [0.0]), dtype=float))
     sigma = np.atleast_2d(np.asarray(tgt_cfg.get("sigma", [[0.25]]), dtype=float))

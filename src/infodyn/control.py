@@ -10,7 +10,7 @@ parameters.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,12 +70,7 @@ class ControllerParams:
             object.__setattr__(self, bounds, b)
 
     def replace(self, **kwargs) -> "ControllerParams":
-        fields = dict(
-            theta_s=self.theta_s, theta_pa=self.theta_pa, theta_aa=self.theta_aa,
-            bounds_s=self.bounds_s, bounds_pa=self.bounds_pa, bounds_aa=self.bounds_aa,
-        )
-        fields.update(kwargs)
-        return ControllerParams(**fields)
+        return replace(self, **kwargs)
 
     def packed(self) -> np.ndarray:
         return np.concatenate([self.theta_s, self.theta_pa, self.theta_aa])
@@ -270,18 +265,12 @@ def build_auxiliary_target(samples: SignalMatrix, target: ControlTarget, relax=N
 
 def rollout(plant, params: ControllerParams, n_steps: int, transient: int, seed: int) -> SignalMatrix:
     """Closed-loop trajectory under the proportional-opposition law
-    A = -theta_aa[0] * S, recorded as columns (J, S, A)."""
-    plant.reset(seed)
+    A = -theta_aa[0] * S, recorded as columns (J, S, A) with J the state x.
+    The plant must provide closed_loop (see LinearPlant.closed_loop); its
+    per-step state (reset/sense/step) is not advanced."""
     gain = float(params.theta_aa[0]) if params.theta_aa.size else 0.0
-    out = np.empty((n_steps - transient, 3))
-    for n in range(n_steps):
-        s = float(plant.sense(params.theta_s)[0])
-        a = -gain * s
-        state = plant.step([a])
-        j = float(plant.target(state)[0])
-        if n >= transient:
-            out[n - transient] = (j, s, a)
-    return SignalMatrix(out, ("J", "S", "A"))
+    rows = plant.closed_loop(gain, params.theta_s[0], n_steps, transient, seed)
+    return SignalMatrix(rows, ("J", "S", "A"))
 
 
 def kl_objective(plant, params: ControllerParams, target: ControlTarget, relax, reference_edges,
@@ -353,25 +342,19 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
                             opts["n_steps"], opts["transient"], opts["seed"], opts["kl_floor"])
 
     for outer in range(opts["outer_iters"]):
-        # step 1: information ascent of the sensing and passive blocks
-        if current.theta_s.size:
-            theta_s, _, _ = minimize(
-                lambda t: _mi_objective(plant, current.replace(theta_s=t),
-                                        opts["n_steps"], opts["transient"], opts["seed"],
-                                        opts["bins"], (0, 1)),
-                current.theta_s, bounds=current.bounds_s, tol=opts["inner_tol"],
-                max_iters=opts["inner_iters"], initial_step=opts["initial_step"], sign=-1.0,
-                fd_step=opts["fd_step"])
-            current = current.replace(theta_s=theta_s)
-        if current.theta_pa.size:
-            theta_pa, _, _ = minimize(
-                lambda t: _mi_objective(plant, current.replace(theta_pa=t),
-                                        opts["n_steps"], opts["transient"], opts["seed"],
-                                        opts["bins"], (0, 2)),
-                current.theta_pa, bounds=current.bounds_pa, tol=opts["inner_tol"],
-                max_iters=opts["inner_iters"], initial_step=opts["initial_step"], sign=-1.0,
-                fd_step=opts["fd_step"])
-            current = current.replace(theta_pa=theta_pa)
+        # step 1: information ascent of the sensing block, I(J;S), and the
+        # passive block, I(J;A)
+        for block, pair in (("s", (0, 1)), ("pa", (0, 2))):
+            theta0 = getattr(current, "theta_" + block)
+            if theta0.size:
+                theta, _, _ = minimize(
+                    lambda t: _mi_objective(plant, current.replace(**{"theta_" + block: t}),
+                                            opts["n_steps"], opts["transient"], opts["seed"],
+                                            opts["bins"], pair),
+                    theta0, bounds=getattr(current, "bounds_" + block), tol=opts["inner_tol"],
+                    max_iters=opts["inner_iters"], initial_step=opts["initial_step"], sign=-1.0,
+                    fd_step=opts["fd_step"])
+                current = current.replace(**{"theta_" + block: theta})
 
         # step 2: KL descent of the active actuation block
         failure = False

@@ -55,15 +55,6 @@ class OptimizationTrace:
                 row += [r[k] for k in extra]
                 w.writerow(row)
 
-    def summary(self) -> dict:
-        best = self.best()
-        return {
-            "n_iterations": len(self.records),
-            "converged": self.converged,
-            "best_value": float(best["value"]),
-            "best_theta": [float(t) for t in best["theta"]],
-        }
-
 
 def _project(theta, bounds):
     if bounds is None:
@@ -76,19 +67,34 @@ def _fd_steps(theta, fd_step):
     return np.maximum(fd_step, fd_step * np.abs(theta))
 
 
-def fd_gradient(f, theta, f0=None, fd_step: float = 1e-4):
-    """Forward finite-difference gradient with per-coordinate step
+def _probe(t, h, lo, hi):
+    """Point in [lo, hi] at which to probe a coordinate at t, and the signed
+    step to it: forward by h if that fits, else backward, else the farther bound."""
+    if t + h <= hi:
+        return t + h, h
+    back = 2 * t - (t + h)  # exact mirror image of the forward probe about t
+    if back >= lo:
+        return back, -h
+    return (hi, hi - t) if hi - t >= t - lo else (lo, lo - t)
+
+
+def fd_gradient(f, theta, f0=None, fd_step: float = 1e-4, bounds=None):
+    """Finite-difference gradient with per-coordinate step
     h_i = max(fd_step, fd_step * |theta_i|). Histogram-based objectives are
     piecewise constant at fine scales, so callers pick fd_step above the
-    bin-crossing granularity."""
+    bin-crossing granularity. Every probe lies within bounds (see _probe);
+    a zero-width interval gets slope 0 and no probe."""
     theta = np.asarray(theta, dtype=float)
     if f0 is None:
         f0 = f(theta)
+    box = np.broadcast_to([-np.inf, np.inf] if bounds is None else bounds, (theta.size, 2))
     g = np.zeros_like(theta)
-    for i, h in enumerate(_fd_steps(theta, fd_step)):
-        probe = theta.copy()
-        probe[i] += h
-        g[i] = (f(probe) - f0) / h
+    for i, (h, (lo, hi)) in enumerate(zip(_fd_steps(theta, fd_step), box)):
+        point, step = _probe(theta[i], h, float(lo), float(hi))
+        if step:
+            probe = theta.copy()
+            probe[i] = point
+            g[i] = (f(probe) - f0) / step
     return f0, g
 
 
@@ -109,11 +115,9 @@ def minimize(
     are of the minimized objective sign*f. Stops when the evaluated
     objective improves by less than tol between consecutive iterations, the
     gradient vanishes, or max_iters is reached (trace.converged says which).
-    A coordinate whose forward probe would pass its upper bound is probed
-    backward instead, so f is only evaluated within the bounds.
+    f is only evaluated within the bounds (see fd_gradient).
     """
     theta = _project(np.asarray(theta0, dtype=float).copy(), bounds)
-    upper = np.inf if bounds is None else np.asarray(bounds, dtype=float)[:, 1]
     if trace is None:
         trace = OptimizationTrace()
     obj = lambda t: sign * f(t)
@@ -121,13 +125,7 @@ def minimize(
     best_theta, best_val = theta.copy(), np.inf
     last_val = None
     for it in range(max_iters):
-        # mirror obj about theta along the backward coordinates, so that the
-        # forward probe there lands at theta_i - h; negating that slope
-        # gives the backward difference
-        back = theta + _fd_steps(theta, fd_step) > upper
-        mirrored = lambda t: obj(np.where(back, 2 * theta - t, t))
-        val, grad = fd_gradient(mirrored, theta, fd_step=fd_step)
-        grad = np.where(back, -grad, grad)
+        val, grad = fd_gradient(obj, theta, fd_step=fd_step, bounds=bounds)
         if val < best_val:
             best_val, best_theta = val, theta.copy()
         gnorm = float(np.linalg.norm(grad))

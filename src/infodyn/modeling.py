@@ -149,10 +149,6 @@ class MLEquivalenceReport:
     def agree(self) -> bool:
         return self.kl_argmin_index == self.likelihood_argmax_index
 
-    @property
-    def discrepancy(self) -> int:
-        return abs(self.kl_argmin_index - self.likelihood_argmax_index)
-
 
 def ml_equivalence_check(samples: SymbolSeries, family, theta_grid) -> MLEquivalenceReport:
     """Verify that minimizing KL(empirical, family(theta)) over the grid

@@ -9,6 +9,7 @@ joint PMFs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,6 +211,10 @@ def goy_total_energy_drift(spec: SystemSpec) -> float:
 # ---------------------------------------------------------------------------
 # noisy linear plant with the sensor/actuator interface
 
+NOISE_BLOCK = 4096  # steps of noise per draw in closed_loop, bounding its working set
+PLANT_KEYS = ("a", "noise_std", "sensor_noise_std", "max_delay")  # settable from a config
+
+
 class LinearPlant:
     """Scalar AR(1) plant x' = a x + A + w with a delayed, noisy sensor.
 
@@ -256,25 +261,46 @@ class LinearPlant:
     def target(self, state) -> np.ndarray:
         return np.atleast_1d(state)
 
+    def closed_loop(self, gain: float, theta_s: float, n_steps: int, transient: int,
+                    seed: int) -> np.ndarray:
+        """Rows (x, S, A) of steps transient..n_steps-1 under A = -gain * S
+        from reset(seed): bit for bit what reset/sense/step give step by step
+        (same noise order, same float operations, same blow-up step), run on
+        Python floats. The plant's per-step state is left as it was."""
+        if not n_steps >= transient >= 0:
+            raise ValueError("need n_steps >= transient >= 0")
+        rng = np.random.default_rng(seed)
+        d = float(np.clip(theta_s, 0.0, self.max_delay))
+        lo = int(np.floor(d))
+        frac = d - lo
+        history = [0.0] * (int(np.ceil(self.max_delay)) + 2)
+        x = 0.0
+        rows = np.empty(3 * n_steps)
+        for start in range(0, n_steps, NOISE_BLOCK):
+            m = min(NOISE_BLOCK, n_steps - start)
+            if self.sensor_noise_std:  # per step: sensor, then process noise
+                scale = (self.sensor_noise_std, self.noise_std)
+                vs, ws = rng.normal(0.0, scale, size=(m, 2)).T.tolist()
+            else:
+                vs, ws = [0.0] * m, rng.normal(0.0, self.noise_std, size=m).tolist()
+            block = []
+            for n, (v, w) in enumerate(zip(vs, ws), start + 1):
+                s = (1 - frac) * history[lo] + frac * history[lo + 1] + v
+                act = -gain * s
+                x = self.a * x + act + w
+                if not math.isfinite(x) or abs(x) > self.blowup:
+                    raise NumericalBlowup(n, "linear-plant")
+                history.insert(0, x)
+                history.pop()
+                block += (x, s, act)
+            rows[3 * start:3 * (start + m)] = block
+        return rows.reshape(n_steps, 3)[transient:]
+
 
 def _linear_plant_signal(spec: SystemSpec, gain: float, theta_s: float) -> SignalMatrix:
-    plant = LinearPlant(
-        a=float(spec.param("a", 0.9)),
-        noise_std=float(spec.param("noise_std", 0.5)),
-        sensor_noise_std=float(spec.param("sensor_noise_std", 0.1)),
-        max_delay=float(spec.param("max_delay", 4.0)),
-    )
-    plant.reset(spec.seed)
-    n_keep = spec.n_steps - spec.transient_steps
-    out = np.empty((n_keep, 4))
-    for n in range(spec.n_steps):
-        s = plant.sense([theta_s])[0]
-        a_n = -gain * s
-        state = plant.step([a_n])
-        j = plant.target(state)[0]
-        if n >= spec.transient_steps:
-            out[n - spec.transient_steps] = (state[0], s, a_n, j)
-    return SignalMatrix(out, ("x", "S", "A", "J"), spec.dt)
+    plant = LinearPlant(**{k: float(v) for k, v in spec.parameters.items() if k in PLANT_KEYS})
+    rows = plant.closed_loop(gain, theta_s, spec.n_steps, spec.transient_steps, spec.seed)
+    return SignalMatrix(np.column_stack([rows, rows[:, 0]]), ("x", "S", "A", "J"), spec.dt)
 
 
 def simulate(spec: SystemSpec) -> SignalMatrix:

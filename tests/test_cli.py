@@ -50,7 +50,7 @@ def test_causality_from_system(tmp_path):
     })
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["identity_ok"]
+    assert report["identity_ok"] is True
     assert all(v < 1e-10 for v in report["identity_residuals"].values())
     header = (out / "flux_map.csv").read_text().splitlines()[0]
     assert header == "subset,to_x,to_y"
@@ -64,7 +64,7 @@ def test_causality_identity_failure_exits_1(tmp_path, capsys, caplog):
     })
     assert code == 1
     report = json.loads((out / "report.json").read_text())
-    assert not report["identity_ok"]
+    assert report["identity_ok"] is False
     # leak fractions go to the report and the log, not to stdout
     assert capsys.readouterr().out == ""
     assert "leak fraction x:" in caplog.text and "leak fraction y:" in caplog.text
@@ -94,9 +94,9 @@ def test_fit_converges_and_reports(tmp_path):
     })
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["converged"]
+    assert report["converged"] is True
     assert max(report["theta_error"]) < 1e-2
-    assert report["ml_check"]["agree"]
+    assert report["ml_check"]["agree"] is True
     assert (out / "trace.csv").exists()
 
 

@@ -174,6 +174,8 @@ def test_rollout_columns_and_law():
     traj = rollout(plant, params, 200, 50, seed=3)
     assert traj.names == ("J", "S", "A")
     assert np.allclose(traj.column("A"), -0.4 * traj.column("S"))
+    with pytest.raises(ValueError, match="transient"):
+        rollout(plant, params, 100, 200, seed=3)
 
 
 def test_kl_objective_deterministic():

@@ -89,18 +89,33 @@ def test_minimize_respects_bounds():
 def test_minimize_probes_backward_at_upper_bound():
     # the optimum lies beyond theta[0]'s upper bound, and f refuses to be
     # evaluated outside the box, as the control and fit objectives do
-    def f(t):
-        if not (0.0 <= t[0] <= 1.0 and -1.0 <= t[1] <= 1.0):
-            raise ValueError("theta outside bounds")
-        return float((t[0] - 5.0) ** 2 + (t[1] - 0.2) ** 2)
+    cases = [
+        ([0.5, 0.0], [[0.0, 1.0], [-1.0, 1.0]]),
+        # intervals narrower than the finite-difference step (1e-4 here)
+        ([0.0], [[0.0, 1e-5]]),
+        ([6e-5], [[0.0, 1.5e-4]]),
+        ([0.3], [[0.3, 0.3]]),
+    ]
+    for theta0, bounds in cases:
+        box = np.asarray(bounds)
 
-    theta, _, trace = minimize(f, [0.5, 0.0], bounds=[[0.0, 1.0], [-1.0, 1.0]], tol=1e-12)
-    assert theta[0] == 1.0
-    assert theta[1] == pytest.approx(0.2, abs=1e-3)
-    # the backward slope keeps pushing theta[0] into its bound
-    path = [r["theta"][0] for r in trace.records]
-    assert 1.0 in path[:-1]
-    assert all(t == 1.0 for t in path[path.index(1.0):])
+        def f(t):
+            if np.any(t < box[:, 0]) or np.any(t > box[:, 1]):
+                raise ValueError("theta outside bounds")
+            return float((t[0] - 5.0) ** 2 + np.sum((t[1:] - 0.2) ** 2))
+
+        theta, _, trace = minimize(f, theta0, bounds=bounds, tol=1e-12)
+        top = box[0, 1]
+        assert theta[0] == top
+        assert theta[1:] == pytest.approx([0.2] * (len(theta0) - 1), abs=1e-3)
+        path = [r["theta"][0] for r in trace.records]
+        assert all(t == top for t in path[path.index(top):])
+        if box[0, 0] < top:
+            # the backward slope keeps pushing theta[0] into its bound
+            assert top in path[:-1]
+        else:
+            # a zero-width interval has slope 0: no probe, and the search stops
+            assert len(path) == 1 and trace.converged
 
 
 def test_minimize_maximization_sign():

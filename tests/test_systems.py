@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from infodyn.control import ControllerParams, rollout
 from infodyn.systems import (
     GOY_DEFAULTS,
+    NOISE_BLOCK,
     LinearPlant,
     NumericalBlowup,
     SystemSpec,
@@ -87,6 +89,57 @@ def test_linear_plant_blowup():
     with pytest.raises(NumericalBlowup):
         for _ in range(100):
             plant.step([5.0 + plant.x])
+
+
+def _stepped_loop(plant, gain, theta_s, n_steps, transient, seed):
+    """The opposition loop A = -gain * S driven through reset/sense/step/target:
+    the reference that LinearPlant.closed_loop must reproduce bit for bit."""
+    plant.reset(seed)
+    rows = []
+    for n in range(n_steps):
+        s = float(plant.sense([theta_s])[0])
+        a = -gain * s
+        state = plant.step([a])
+        if n >= transient:
+            rows.append((float(plant.target(state)[0]), s, a))
+    return np.array(rows).reshape(-1, 3)
+
+
+def _assert_loops_agree(plant_kw, gain, theta_s, n_steps, transient, seed):
+    plant = LinearPlant(**plant_kw)
+    params = ControllerParams(theta_s=[theta_s], theta_aa=[gain])
+    spec = SystemSpec("linear-plant", plant_kw, n_steps, transient, seed)
+    try:
+        expected = _stepped_loop(plant, gain, theta_s, n_steps, transient, seed)
+    except NumericalBlowup as blowup:
+        for run in (lambda: rollout(plant, params, n_steps, transient, seed),
+                    lambda: simulate_controlled(spec, params)):
+            with pytest.raises(NumericalBlowup, match=f"at step {blowup.step} "):
+                run()
+        return blowup.step
+    x, n = plant.x, plant.n
+    assert np.array_equal(rollout(plant, params, n_steps, transient, seed).values, expected)
+    assert (plant.x, plant.n) == (x, n)  # the per-step state is not advanced
+    assert np.array_equal(simulate_controlled(spec, params).values[:, :3], expected)
+    return None
+
+
+def test_closed_loop_matches_stepped_loop():
+    for sensor_noise_std in (0.1, 0.0):
+        for seed in (0, 3):
+            for gain in (0.0, 0.1, 0.55, 0.9):
+                for theta_s in (0.0, 0.3, 1.7, 4.0):
+                    _assert_loops_agree({"sensor_noise_std": sensor_noise_std},
+                                        gain, theta_s, 300, 50, seed)
+    # no transient, and longer than one block of noise draws
+    assert _assert_loops_agree({}, 0.4, 0.3, NOISE_BLOCK + 500, 0, 1) is None
+    assert _assert_loops_agree({"sensor_noise_std": 0.0}, 0.4, 2.5, NOISE_BLOCK + 500, 0, 1) is None
+
+
+def test_closed_loop_blowup_matches_stepped_loop():
+    # an unstable loop early on, and an unstable plant past the first block
+    assert _assert_loops_agree({}, 2.0, 1.7, 2000, 100, 2) < 100
+    assert _assert_loops_agree({"a": 1.004}, 0.0, 0.0, 2 * NOISE_BLOCK, 0, 1) > NOISE_BLOCK
 
 
 def test_simulate_controlled_zero_gain_matches_uncontrolled():

@@ -256,8 +256,6 @@ def build_auxiliary_target(samples: SignalMatrix, target: ControlTarget, relax=N
     if reference_edges is None:
         raise ValueError("reference_edges required to place the auxiliary PMF on a partition")
     edges = reference_edges if isinstance(reference_edges, (tuple, list)) else (reference_edges,)
-    if x.shape[1] == 1:
-        return infocore.binned_pmf(transformed[:, 0], np.asarray(edges[0], dtype=float))
     spec = PartitionSpec("explicit-edges", edges=tuple(np.asarray(e, dtype=float) for e in edges))
     symbols = discretize(SignalMatrix(transformed, samples.names, samples.dt), spec)
     return estimate_joint_pmf(symbols, [(v, 0) for v in range(symbols.n_variables)])
@@ -282,15 +280,18 @@ def kl_objective(plant, params: ControllerParams, target: ControlTarget, relax, 
     is what optimize_controller descends and what a grid-search oracle
     should evaluate.
     """
-    traj = rollout(plant, params, n_steps, transient, seed)
+    return _trajectory_kl(rollout(plant, params, n_steps, transient, seed), target, relax,
+                          reference_edges, kl_floor)
+
+
+def _trajectory_kl(traj, target, relax, reference_edges, kl_floor):
     edges = np.asarray(reference_edges, dtype=float)
     p_j = infocore.binned_pmf(traj.column("J"), edges)
     aux = build_auxiliary_target(traj.select(["J"]), target, relax, edges)
     return infocore.kl_divergence(p_j, aux, epsilon=kl_floor)
 
 
-def _mi_objective(plant, params, n_steps, transient, seed, bins, pair):
-    traj = rollout(plant, params, n_steps, transient, seed)
+def _mi_objective(traj, bins, pair):
     try:
         symbols = discretize(traj, PartitionSpec(bins_per_variable=bins))
     except ValueError:
@@ -337,9 +338,8 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
     best_params, best_kl = current, np.inf
     last_accepted = np.inf
 
-    def kl_at(params, rel):
-        return kl_objective(plant, params, target, rel, edges,
-                            opts["n_steps"], opts["transient"], opts["seed"], opts["kl_floor"])
+    def run(params):
+        return rollout(plant, params, opts["n_steps"], opts["transient"], opts["seed"])
 
     for outer in range(opts["outer_iters"]):
         # step 1: information ascent of the sensing block, I(J;S), and the
@@ -348,8 +348,7 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
             theta0 = getattr(current, "theta_" + block)
             if theta0.size:
                 theta, _, _ = minimize(
-                    lambda t: _mi_objective(plant, current.replace(**{"theta_" + block: t}),
-                                            opts["n_steps"], opts["transient"], opts["seed"],
+                    lambda t: _mi_objective(run(current.replace(**{"theta_" + block: t})),
                                             opts["bins"], pair),
                     theta0, bounds=getattr(current, "bounds_" + block), tol=opts["inner_tol"],
                     max_iters=opts["inner_iters"], initial_step=opts["initial_step"], sign=-1.0,
@@ -362,7 +361,8 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
         def aa_objective(t):
             nonlocal failure
             try:
-                return kl_at(current.replace(theta_aa=t, bounds_aa=bounds_aa), relax)
+                return _trajectory_kl(run(current.replace(theta_aa=t, bounds_aa=bounds_aa)),
+                                      target, relax, edges, opts["kl_floor"])
             except NumericalBlowup:
                 failure = True
                 return 1e6  # rejected iterate; bounds contracted below
@@ -380,11 +380,10 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
             ])
         current = current.replace(theta_aa=theta_aa, bounds_aa=bounds_aa)
 
-        kl_now = kl_at(current, relax)
-        obs_mi = _mi_objective(plant, current, opts["n_steps"], opts["transient"],
-                               opts["seed"], opts["bins"], (0, 1))
-        ctrl_mi = _mi_objective(plant, current, opts["n_steps"], opts["transient"],
-                                opts["seed"], opts["bins"], (0, 2))
+        traj = run(current)  # one rollout for the iteration's record
+        kl_now = _trajectory_kl(traj, target, relax, edges, opts["kl_floor"])
+        obs_mi = _mi_objective(traj, opts["bins"], (0, 1))
+        ctrl_mi = _mi_objective(traj, opts["bins"], (0, 2))
         accepted = kl_now < last_accepted
         trace.add(iteration=outer, value=kl_now, theta=current.packed(), step=0.0,
                   obs_mi=obs_mi, ctrl_mi=ctrl_mi, relax=relax, accepted=accepted,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pmf import JointPMF
+from .pmf import JointPMF, _tally
 from .signals import SignalMatrix
 
 __all__ = ["PartitionSpec", "SymbolSeries", "discretize", "estimate_joint_pmf"]
@@ -103,11 +103,9 @@ def _quantile_codes(x: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def _edge_codes(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    # half-open cells [e_k, e_{k+1}), top cell closed
-    n_bins = len(edges) - 1
-    codes = np.searchsorted(edges, x, side="right") - 1
-    codes[x == edges[-1]] = n_bins - 1
-    return np.clip(codes, 0, n_bins - 1)
+    # half-open cells [e_k, e_{k+1}), top cell closed; samples out of range
+    # are clipped into the end cells
+    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
 
 
 def discretize(signal: SignalMatrix, spec: PartitionSpec | None = None) -> SymbolSeries:
@@ -153,15 +151,11 @@ def estimate_joint_pmf(symbols: SymbolSeries, selection) -> JointPMF:
             raise ValueError(f"invalid variable index {v}")
         dims.append(symbols.alphabet[v])
         cols.append(symbols.codes[lag : lag + n_valid, v])
-    stacked = np.column_stack(cols)
-    flat = np.ravel_multi_index(tuple(stacked.T), dims)
-    counts = np.bincount(flat)
-    support = np.flatnonzero(counts)
-    indices = np.column_stack(np.unravel_index(support, dims))
-    if len(support) > 0.1 * n_valid and n_valid > 100:
+    indices, counts = _tally(cols, dims)
+    if len(counts) > 0.1 * n_valid and n_valid > 100:
         warnings.warn(
-            f"occupied cells ({len(support)}) exceed 10% of sample count "
+            f"occupied cells ({len(counts)}) exceed 10% of sample count "
             f"({n_valid}); PMF estimate may be unreliable",
             stacklevel=2,
         )
-    return JointPMF.from_counts(indices, counts[support], dims)
+    return JointPMF.from_counts(indices, counts, dims)

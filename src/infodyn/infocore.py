@@ -12,7 +12,8 @@ import warnings
 
 import numpy as np
 
-from .pmf import JointPMF, marginalize
+from .discretization import _edge_codes
+from .pmf import JointPMF, _tally, marginalize
 
 __all__ = [
     "entropy",
@@ -96,14 +97,6 @@ def co_information(pmf: JointPMF, parts, given=()) -> float:
     return co_information(pmf, head, given) - co_information(pmf, head, last + given)
 
 
-def _aligned_masses(p: JointPMF, q: JointPMF):
-    if p.dims != q.dims:
-        raise ValueError(f"dimension mismatch: {p.dims} vs {q.dims}")
-    q_map = {tuple(row): float(m) for row, m in zip(q.indices, q.probs)}
-    qs = np.array([q_map.get(tuple(row), 0.0) for row in p.indices])
-    return p.probs, qs
-
-
 def kl_divergence(p: JointPMF, q: JointPMF, epsilon: float | None = None) -> float:
     """KL(p||q) in bits: sum p log2(p/q).
 
@@ -111,7 +104,15 @@ def kl_divergence(p: JointPMF, q: JointPMF, epsilon: float | None = None) -> flo
     listing the offending cells. Passing `epsilon` floors the missing q
     masses instead, keeping the value (and gradients) finite.
     """
-    ps, qs = _aligned_masses(p, q)
+    if p.dims != q.dims:
+        raise ValueError(f"dimension mismatch: {p.dims} vs {q.dims}")
+    # q's mass on each of p's cells, matched by cell code; q's rows need not
+    # be sorted
+    p_codes = np.ravel_multi_index(tuple(p.indices.T), p.dims)
+    q_codes = np.ravel_multi_index(tuple(q.indices.T), q.dims)
+    order = np.argsort(q_codes)
+    hit = order[np.searchsorted(q_codes, p_codes, sorter=order).clip(max=len(order) - 1)]
+    qs = np.where(q_codes[hit] == p_codes, q.probs[hit], 0.0)
     missing = qs == 0
     if missing.any():
         if epsilon is None:
@@ -123,7 +124,7 @@ def kl_divergence(p: JointPMF, q: JointPMF, epsilon: float | None = None) -> flo
             )
             return float("inf")
         qs = np.maximum(qs, epsilon)
-    return float((ps * np.log2(ps / qs)).sum())
+    return float((p.probs * np.log2(p.probs / qs)).sum())
 
 
 def cross_entropy(p: JointPMF, q: JointPMF, epsilon: float | None = None) -> float:
@@ -138,12 +139,9 @@ def binned_pmf(x: np.ndarray, edges: np.ndarray) -> JointPMF:
     Out-of-range samples are clipped into the end bins so mass totals 1.
     """
     edges = np.asarray(edges, dtype=float)
-    codes = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
-    counts = np.bincount(codes, minlength=len(edges) - 1)
-    support = np.flatnonzero(counts)
-    return JointPMF.from_counts(
-        support[:, None], counts[support], (len(edges) - 1,), (edges,)
-    )
+    dims = (len(edges) - 1,)
+    indices, counts = _tally([_edge_codes(x, edges)], dims)
+    return JointPMF.from_counts(indices, counts, dims, (edges,))
 
 
 def rescale_pmf(pmf: JointPMF, gamma: float, reference_edges=None) -> JointPMF:
@@ -175,5 +173,4 @@ def rescale_pmf(pmf: JointPMF, gamma: float, reference_edges=None) -> JointPMF:
             left = np.clip(ref[:-1], lo_c, hi_c)
             right = np.clip(ref[1:], lo_c, hi_c)
             out += mass * (right - left) / span
-    support = np.flatnonzero(out > 0)
-    return JointPMF(tuple([n_ref]), support[:, None], out[support], (ref,))
+    return JointPMF.from_dense(out, (ref,))

@@ -2,11 +2,14 @@
 
 A PMF is stored as (support indices, probabilities) rather than a dense
 array because downstream subset enumeration builds joints of dimension
-M+1, where dense storage (bins**(M+1)) blows up quickly.
+M+1, where dense storage (bins**(M+1)) blows up quickly. Rows are counted
+by their int64 row-major cell code (`_tally`), so estimates and marginals
+take memory in proportion to the samples or support rows, not the cells.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,13 +106,33 @@ def marginalize(pmf: JointPMF, keep) -> JointPMF:
     for k in keep:
         if not 0 <= k < pmf.ndim:
             raise ValueError(f"invalid dimension index {k}")
-    sub = pmf.indices[:, keep]
-    uniq, inv = np.unique(sub, axis=0, return_inverse=True)
-    p = np.bincount(inv, weights=pmf.probs, minlength=uniq.shape[0])
+    dims = tuple(pmf.dims[k] for k in keep)
+    indices, p = _tally(pmf.indices[:, keep].T, dims, pmf.probs)
     edges = None
     if pmf.edges is not None:
         edges = tuple(pmf.edges[k] for k in keep)
-    return JointPMF(tuple(pmf.dims[k] for k in keep), uniq, p, edges)
+    return JointPMF(dims, indices, p, edges)
+
+
+def _tally(columns, dims, weights=None):
+    """Occupied cells of the tuples zip(*columns) over alphabets `dims`, in
+    lexicographic order (that of their row-major int64 codes), with their
+    counts or summed weights. Counts densely when there are no more cells
+    than rows, else by sorting the codes, so memory follows the rows."""
+    dims = tuple(int(d) for d in dims)
+    n_cells = math.prod(dims)
+    if n_cells > np.iinfo(np.int64).max:
+        raise ValueError(f"joint over dims {dims} has {n_cells} cells, more than "
+                         "the 2**63-1 that int64 cell codes can index")
+    codes = np.ravel_multi_index(tuple(columns), dims)
+    if n_cells <= len(codes):
+        totals = np.bincount(codes, weights)
+        cells = np.flatnonzero(totals)
+        totals = totals[cells]
+    else:
+        cells, inverse = np.unique(codes, return_inverse=True)
+        totals = np.bincount(inverse, weights)
+    return np.column_stack(np.unravel_index(cells, dims)), totals
 
 
 def condition(pmf: JointPMF, given) -> JointPMF:

@@ -9,8 +9,10 @@ joint PMFs.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -298,7 +300,11 @@ class LinearPlant:
 
 
 def _linear_plant_signal(spec: SystemSpec, gain: float, theta_s: float) -> SignalMatrix:
-    plant = LinearPlant(**{k: float(v) for k, v in spec.parameters.items() if k in PLANT_KEYS})
+    params = {k: v for k, v in spec.parameters.items() if k != "theta_s"}
+    unknown = sorted(set(params) - set(inspect.signature(LinearPlant).parameters))
+    if unknown:
+        raise ValueError(f"unknown linear-plant parameters {unknown}")
+    plant = LinearPlant(**{k: float(v) for k, v in params.items()})
     rows = plant.closed_loop(gain, theta_s, spec.n_steps, spec.transient_steps, spec.seed)
     return SignalMatrix(np.column_stack([rows, rows[:, 0]]), ("x", "S", "A", "J"), spec.dt)
 
@@ -375,10 +381,7 @@ def _rotation4_fixture() -> SymbolicFixture:
 
 def _rotation_pair_fixture() -> SymbolicFixture:
     # two independent deterministic rotations: 2-state swap and 4-state cycle
-    mass = {}
-    for x in range(2):
-        for y in range(4):
-            mass[((y + 1) % 4, x, y)] = 1.0 / 8.0
+    mass = {((y + 1) % 4, x, y): 1.0 / 8.0 for x in range(2) for y in range(4)}
 
     def sampler(n_steps, seed):
         rng = np.random.default_rng(seed)
@@ -394,11 +397,7 @@ def _rotation_pair_fixture() -> SymbolicFixture:
 
 def _xor_fixture() -> SymbolicFixture:
     # z' = x1 XOR x2 with x1, x2 fresh fair bits each step
-    mass = {}
-    for x1 in range(2):
-        for x2 in range(2):
-            for z in range(2):
-                mass[(x1 ^ x2, x1, x2, z)] = 1.0 / 8.0
+    mass = {(x1 ^ x2, x1, x2, z): 1.0 / 8.0 for x1, x2, z in product(range(2), repeat=3)}
 
     def sampler(n_steps, seed):
         rng = np.random.default_rng(seed)
@@ -417,10 +416,7 @@ def _xor_fixture() -> SymbolicFixture:
 def _redundant_pair_fixture() -> SymbolicFixture:
     # x2 duplicates x1 and z' copies x1: the bit is attributed to the input
     # pair jointly (neither copy contributes exclusively on its own)
-    mass = {}
-    for x in range(2):
-        for z in range(2):
-            mass[(x, x, x, z)] = 0.25
+    mass = {(x, x, x, z): 0.25 for x in range(2) for z in range(2)}
 
     def sampler(n_steps, seed):
         rng = np.random.default_rng(seed)
@@ -447,13 +443,7 @@ def _markov_pair_fixture() -> SymbolicFixture:
         return pi / pi.sum()
 
     pi_x, pi_y = stationary(px), stationary(py)
-    mass = {}
-    for x in range(2):
-        for y in range(2):
-            for y1 in range(2):
-                m = pi_x[x] * pi_y[y] * py[y, y1]
-                if m > 0:
-                    mass[(y1, x, y)] = m
+    mass = {(y1, x, y): pi_x[x] * pi_y[y] * py[y, y1] for x, y, y1 in product(range(2), repeat=3)}
 
     def sampler(n_steps, seed):
         rng = np.random.default_rng(seed)
@@ -474,11 +464,7 @@ def _markov_pair_fixture() -> SymbolicFixture:
 
 def _noise_target_fixture() -> SymbolicFixture:
     # target refreshed i.i.d. every step, independent of the driver
-    mass = {}
-    for x in range(4):
-        for z1 in range(2):
-            for z in range(2):
-                mass[(z1, x, z)] = 1.0 / 16.0
+    mass = {(z1, x, z): 1.0 / 16.0 for x, z1, z in product(range(4), range(2), range(2))}
 
     def sampler(n_steps, seed):
         rng = np.random.default_rng(seed)

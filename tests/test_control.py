@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infodyn import infocore
+from infodyn import control, infocore
 from infodyn.control import (
     ControllerParams,
     ControlTarget,
@@ -187,3 +187,28 @@ def test_kl_objective_deterministic():
     b = kl_objective(plant, params, target, (0.6, 0.6), edges, n_steps=1000, transient=200)
     assert a == b
     assert a >= 0
+
+
+def test_optimize_controller_rolls_out_once_per_record(monkeypatch):
+    counts = {"rollouts": 0, "evaluations": 0}
+    real_rollout, real_minimize = control.rollout, control.minimize
+
+    def counted_rollout(*args, **kwargs):
+        counts["rollouts"] += 1
+        return real_rollout(*args, **kwargs)
+
+    def counted_minimize(f, *args, **kwargs):
+        def objective(theta):
+            counts["evaluations"] += 1
+            return f(theta)
+        return real_minimize(objective, *args, **kwargs)
+
+    monkeypatch.setattr(control, "rollout", counted_rollout)
+    monkeypatch.setattr(control, "minimize", counted_minimize)
+    init = ControllerParams(theta_s=[0.0], theta_aa=[0.1], bounds_s=[[0.0, 4.0]],
+                            bounds_aa=[[0.0, 1.0]])
+    _, trace = control.optimize_controller(LinearPlant(), ControlTarget([0.0], [[0.25]]), init,
+                                           {"n_steps": 1000, "transient": 200, "outer_iters": 2})
+    # one per objective evaluation, one for the reference edges and one per
+    # outer iteration for its record (KL, I(J;S) and I(J;A) together)
+    assert counts["rollouts"] == counts["evaluations"] + 1 + len(trace.records)

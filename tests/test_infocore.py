@@ -1,5 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infodyn import infocore
 from infodyn.pmf import JointPMF
@@ -156,3 +161,43 @@ def test_rescale_pmf_requires_edges():
     pmf = JointPMF.from_dense(np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="edge metadata"):
         infocore.rescale_pmf(pmf, 2.0)
+
+
+def dict_kl(p, q, epsilon=None):
+    """Oracle: KL(p||q) with q aligned to p's rows through a dict."""
+    q_map = {tuple(row): float(m) for row, m in zip(q.indices, q.probs)}
+    qs = np.array([q_map.get(tuple(row), 0.0) for row in p.indices])
+    missing = qs == 0
+    if missing.any():
+        if epsilon is None:
+            return float("inf")
+        qs = np.maximum(qs, epsilon)
+    return float((p.probs * np.log2(p.probs / qs)).sum())
+
+
+@st.composite
+def joint_pairs(draw):
+    """Joints p and q over the same 1-3 variables, rows in random order;
+    q either covers p's support or misses some of its cells."""
+    dims = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)))
+    cells = st.integers(0, math.prod(dims) - 1)
+
+    def joint(codes):
+        w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(codes), max_size=len(codes))))
+        return JointPMF(dims, np.column_stack(np.unravel_index(codes, dims)), w / w.sum())
+
+    p_codes = draw(st.lists(cells, min_size=1, max_size=30, unique=True))
+    q_codes = draw(st.lists(cells, min_size=1, max_size=30, unique=True))
+    if draw(st.booleans()):
+        q_codes = draw(st.permutations(sorted(set(p_codes) | set(q_codes))))
+    return joint(p_codes), joint(q_codes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(joint_pairs(), st.sampled_from([None, 1e-9, 0.05]))
+def test_kl_divergence_matches_dict_oracle(pair, epsilon):
+    p, q = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = infocore.kl_divergence(p, q, epsilon)
+    assert np.array_equal(got, dict_kl(p, q, epsilon))

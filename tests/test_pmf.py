@@ -1,6 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from infodyn import infocore
+from infodyn.discretization import SymbolSeries, estimate_joint_pmf
 from infodyn.pmf import JointPMF, condition, marginalize
 
 
@@ -92,3 +99,96 @@ def test_edges_carried_through_marginalize():
     pmf = JointPMF.from_dense(np.full((2, 2), 0.25), edges=edges)
     m = marginalize(pmf, [1])
     assert np.array_equal(m.edges[0], edges[1])
+
+
+# ---------------------------------------------------------------------------
+# cell tallies against the implementations they replaced
+
+def unique_marginalize(pmf, keep):
+    """Oracle: marginal by a row-wise np.unique over the kept columns."""
+    uniq, inv = np.unique(pmf.indices[:, keep], axis=0, return_inverse=True)
+    p = np.bincount(inv, weights=pmf.probs, minlength=uniq.shape[0])
+    return JointPMF(tuple(pmf.dims[k] for k in keep), uniq, p)
+
+
+def dense_estimate(symbols, selection):
+    """Oracle: plug-in joint by a dense bincount over every cell."""
+    n_valid = symbols.n_samples - max(lag for _, lag in selection)
+    dims = [symbols.alphabet[v] for v, _ in selection]
+    stacked = np.column_stack([symbols.codes[lag:lag + n_valid, v] for v, lag in selection])
+    counts = np.bincount(np.ravel_multi_index(tuple(stacked.T), dims))
+    support = np.flatnonzero(counts)
+    return JointPMF.from_counts(np.column_stack(np.unravel_index(support, dims)),
+                                counts[support], dims)
+
+
+@st.composite
+def sparse_joints(draw):
+    """Joint over 1-4 variables of 2-5 symbols; its support is a random set
+    of cells in random (unsorted) row order."""
+    dims = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
+    n_cells = math.prod(dims)
+    codes = draw(st.lists(st.integers(0, n_cells - 1), min_size=1,
+                          max_size=min(n_cells, 40), unique=True))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(codes),
+                                     max_size=len(codes))))
+    return JointPMF(dims, np.column_stack(np.unravel_index(codes, dims)), weights / weights.sum())
+
+
+def assert_same_pmf(got, want):
+    assert got.dims == want.dims
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.probs, want.probs)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(sparse_joints(), st.data())
+def test_marginalize_matches_unique_oracle(dense, pmf, data):
+    keep = data.draw(st.permutations(range(pmf.ndim)))[:data.draw(st.integers(1, pmf.ndim))]
+    # a dense count when the marginal has no more cells than support rows
+    assume((math.prod(pmf.dims[k] for k in keep) <= pmf.support_count) == dense)
+    assert_same_pmf(marginalize(pmf, keep), unique_marginalize(pmf, keep))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_joints(), st.data())
+def test_entropy_of_marginal_is_marginal_entropy(pmf, data):
+    keep = data.draw(st.permutations(range(pmf.ndim)))[:data.draw(st.integers(1, pmf.ndim))]
+    assert infocore.entropy(marginalize(pmf, keep)) == infocore.entropy(pmf, keep)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_estimate_matches_dense_bincount_oracle(dense, data):
+    alphabet = tuple(data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)))
+    n_samples = data.draw(st.integers(4, 60))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    symbols = SymbolSeries(rng.integers(0, alphabet, size=(n_samples, len(alphabet))), alphabet)
+    selection = data.draw(st.lists(st.tuples(st.integers(0, len(alphabet) - 1), st.integers(0, 3)),
+                                   min_size=1, max_size=4))
+    n_valid = n_samples - max(lag for _, lag in selection)
+    assume((math.prod(alphabet[v] for v, _ in selection) <= n_valid) == dense)
+    assert_same_pmf(estimate_joint_pmf(symbols, selection), dense_estimate(symbols, selection))
+
+
+def test_estimate_refuses_joints_wider_than_int64_codes():
+    symbols = SymbolSeries(np.zeros((5, 22), dtype=np.int64), (8,) * 22)
+    with pytest.raises(ValueError, match=r"dims \(8, 8, .*2\*\*63-1"):
+        estimate_joint_pmf(symbols, [(v, 0) for v in range(22)])
+
+
+def test_estimate_memory_scales_with_samples_not_cells():
+    # 8**10 = 2**30 cells: a dense count would need 8 GiB
+    rng = np.random.default_rng(0)
+    symbols = SymbolSeries(rng.integers(0, 8, size=(2000, 10)), (8,) * 10)
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="occupied cells"):
+            pmf = estimate_joint_pmf(symbols, [(v, 0) for v in range(10)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert pmf.support_count <= 2000

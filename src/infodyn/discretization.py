@@ -133,7 +133,8 @@ def estimate_joint_pmf(symbols: SymbolSeries, selection) -> JointPMF:
 
     `selection` is a list of (variable_index, time_lag) pairs; the joint is
     estimated from the tuples (codes[t + lag_1, v_1], ...) over all t for
-    which every lagged index is valid.
+    which every lagged index is valid. Symbols from an explicit-edges
+    partition give a PMF that carries the selected variables' edges.
     """
     selection = list(selection)
     if not selection:
@@ -158,4 +159,7 @@ def estimate_joint_pmf(symbols: SymbolSeries, selection) -> JointPMF:
             f"({n_valid}); PMF estimate may be unreliable",
             stacklevel=2,
         )
-    return JointPMF.from_counts(indices, counts, dims)
+    edges = None
+    if symbols.origin is not None and symbols.origin.scheme == "explicit-edges":
+        edges = tuple(np.asarray(symbols.origin.edges[v], dtype=float) for v, _ in selection)
+    return JointPMF.from_counts(indices, counts, dims, edges)

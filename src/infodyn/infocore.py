@@ -12,8 +12,9 @@ import warnings
 
 import numpy as np
 
-from .discretization import _edge_codes
-from .pmf import JointPMF, _tally, marginalize
+from .discretization import PartitionSpec, discretize, estimate_joint_pmf
+from .pmf import JointPMF, _cell_codes, marginalize
+from .signals import SignalMatrix
 
 __all__ = [
     "entropy",
@@ -108,8 +109,8 @@ def kl_divergence(p: JointPMF, q: JointPMF, epsilon: float | None = None) -> flo
         raise ValueError(f"dimension mismatch: {p.dims} vs {q.dims}")
     # q's mass on each of p's cells, matched by cell code; q's rows need not
     # be sorted
-    p_codes = np.ravel_multi_index(tuple(p.indices.T), p.dims)
-    q_codes = np.ravel_multi_index(tuple(q.indices.T), q.dims)
+    p_codes = _cell_codes(p.indices.T, p.dims)
+    q_codes = _cell_codes(q.indices.T, q.dims)
     order = np.argsort(q_codes)
     hit = order[np.searchsorted(q_codes, p_codes, sorter=order).clip(max=len(order) - 1)]
     qs = np.where(q_codes[hit] == p_codes, q.probs[hit], 0.0)
@@ -138,10 +139,8 @@ def binned_pmf(x: np.ndarray, edges: np.ndarray) -> JointPMF:
 
     Out-of-range samples are clipped into the end bins so mass totals 1.
     """
-    edges = np.asarray(edges, dtype=float)
-    dims = (len(edges) - 1,)
-    indices, counts = _tally([_edge_codes(x, edges)], dims)
-    return JointPMF.from_counts(indices, counts, dims, (edges,))
+    spec = PartitionSpec("explicit-edges", edges=(np.asarray(edges, dtype=float),))
+    return estimate_joint_pmf(discretize(SignalMatrix(x, ("x",)), spec), [(0, 0)])
 
 
 def rescale_pmf(pmf: JointPMF, gamma: float, reference_edges=None) -> JointPMF:

@@ -42,6 +42,10 @@ class JointPMF:
             raise ValueError("indices/probs length mismatch")
         if idx.shape[1] != len(self.dims):
             raise ValueError("indices width does not match dims")
+        outside = ((idx < 0) | (idx >= np.asarray(self.dims, dtype=np.int64))).any(axis=0)
+        if outside.any():
+            d = int(np.flatnonzero(outside)[0])
+            raise ValueError(f"dimension {d}: index outside [0, {self.dims[d]})")
         if np.any(p <= 0):
             raise ValueError("stored masses must be strictly positive")
         if abs(p.sum() - 1.0) > 1e-9:
@@ -114,18 +118,23 @@ def marginalize(pmf: JointPMF, keep) -> JointPMF:
     return JointPMF(dims, indices, p, edges)
 
 
+def _cell_codes(columns, dims) -> np.ndarray:
+    """Row-major int64 cell codes of the tuples zip(*columns) over alphabets
+    `dims`; code order is the tuples' lexicographic order."""
+    dims = tuple(int(d) for d in dims)
+    if math.prod(dims) > np.iinfo(np.int64).max:
+        raise ValueError(f"joint over dims {dims} has {math.prod(dims)} cells, more than "
+                         "the 2**63-1 that int64 cell codes can index")
+    return np.ravel_multi_index(tuple(columns), dims)
+
+
 def _tally(columns, dims, weights=None):
     """Occupied cells of the tuples zip(*columns) over alphabets `dims`, in
-    lexicographic order (that of their row-major int64 codes), with their
-    counts or summed weights. Counts densely when there are no more cells
-    than rows, else by sorting the codes, so memory follows the rows."""
-    dims = tuple(int(d) for d in dims)
-    n_cells = math.prod(dims)
-    if n_cells > np.iinfo(np.int64).max:
-        raise ValueError(f"joint over dims {dims} has {n_cells} cells, more than "
-                         "the 2**63-1 that int64 cell codes can index")
-    codes = np.ravel_multi_index(tuple(columns), dims)
-    if n_cells <= len(codes):
+    lexicographic order, with their counts or summed weights. Counts densely
+    when there are no more cells than rows, else by sorting the codes, so
+    memory follows the rows."""
+    codes = _cell_codes(columns, dims)
+    if math.prod(dims) <= len(codes):
         totals = np.bincount(codes, weights)
         cells = np.flatnonzero(totals)
         totals = totals[cells]

@@ -9,10 +9,8 @@ joint PMFs.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -300,11 +298,10 @@ class LinearPlant:
 
 
 def _linear_plant_signal(spec: SystemSpec, gain: float, theta_s: float) -> SignalMatrix:
-    params = {k: v for k, v in spec.parameters.items() if k != "theta_s"}
-    unknown = sorted(set(params) - set(inspect.signature(LinearPlant).parameters))
+    unknown = sorted(set(spec.parameters) - {*PLANT_KEYS, "theta_s"})
     if unknown:
         raise ValueError(f"unknown linear-plant parameters {unknown}")
-    plant = LinearPlant(**{k: float(v) for k, v in params.items()})
+    plant = LinearPlant(**{k: float(v) for k, v in spec.parameters.items() if k in PLANT_KEYS})
     rows = plant.closed_loop(gain, theta_s, spec.n_steps, spec.transient_steps, spec.seed)
     return SignalMatrix(np.column_stack([rows, rows[:, 0]]), ("x", "S", "A", "J"), spec.dt)
 
@@ -381,7 +378,10 @@ def _rotation4_fixture() -> SymbolicFixture:
 
 def _rotation_pair_fixture() -> SymbolicFixture:
     # two independent deterministic rotations: 2-state swap and 4-state cycle
-    mass = {((y + 1) % 4, x, y): 1.0 / 8.0 for x in range(2) for y in range(4)}
+    mass = {}
+    for x in range(2):
+        for y in range(4):
+            mass[((y + 1) % 4, x, y)] = 1.0 / 8.0
 
     def sampler(n_steps, seed):
         rng = np.random.default_rng(seed)
@@ -397,7 +397,11 @@ def _rotation_pair_fixture() -> SymbolicFixture:
 
 def _xor_fixture() -> SymbolicFixture:
     # z' = x1 XOR x2 with x1, x2 fresh fair bits each step
-    mass = {(x1 ^ x2, x1, x2, z): 1.0 / 8.0 for x1, x2, z in product(range(2), repeat=3)}
+    mass = {}
+    for x1 in range(2):
+        for x2 in range(2):
+            for z in range(2):
+                mass[(x1 ^ x2, x1, x2, z)] = 1.0 / 8.0
 
     def sampler(n_steps, seed):
         rng = np.random.default_rng(seed)
@@ -416,7 +420,10 @@ def _xor_fixture() -> SymbolicFixture:
 def _redundant_pair_fixture() -> SymbolicFixture:
     # x2 duplicates x1 and z' copies x1: the bit is attributed to the input
     # pair jointly (neither copy contributes exclusively on its own)
-    mass = {(x, x, x, z): 0.25 for x in range(2) for z in range(2)}
+    mass = {}
+    for x in range(2):
+        for z in range(2):
+            mass[(x, x, x, z)] = 0.25
 
     def sampler(n_steps, seed):
         rng = np.random.default_rng(seed)
@@ -443,7 +450,13 @@ def _markov_pair_fixture() -> SymbolicFixture:
         return pi / pi.sum()
 
     pi_x, pi_y = stationary(px), stationary(py)
-    mass = {(y1, x, y): pi_x[x] * pi_y[y] * py[y, y1] for x, y, y1 in product(range(2), repeat=3)}
+    mass = {}
+    for x in range(2):
+        for y in range(2):
+            for y1 in range(2):
+                m = pi_x[x] * pi_y[y] * py[y, y1]
+                if m > 0:
+                    mass[(y1, x, y)] = m
 
     def sampler(n_steps, seed):
         rng = np.random.default_rng(seed)
@@ -464,7 +477,11 @@ def _markov_pair_fixture() -> SymbolicFixture:
 
 def _noise_target_fixture() -> SymbolicFixture:
     # target refreshed i.i.d. every step, independent of the driver
-    mass = {(z1, x, z): 1.0 / 16.0 for x, z1, z in product(range(4), range(2), range(2))}
+    mass = {}
+    for x in range(4):
+        for z1 in range(2):
+            for z in range(2):
+                mass[(z1, x, z)] = 1.0 / 16.0
 
     def sampler(n_steps, seed):
         rng = np.random.default_rng(seed)

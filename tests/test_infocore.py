@@ -127,6 +127,12 @@ def test_kl_nonnegative_random_pairs():
         assert infocore.kl_divergence(p, q) >= -1e-12
 
 
+def test_kl_divergence_refuses_joints_wider_than_int64_codes():
+    p = JointPMF((8,) * 22, np.zeros((1, 22), dtype=np.int64), np.ones(1))
+    with pytest.raises(ValueError, match=r"2\*\*63-1"):
+        infocore.kl_divergence(p, p)
+
+
 def test_cross_entropy_identity():
     rng = np.random.default_rng(7)
     p = random_joint(rng, (4,))

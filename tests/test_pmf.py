@@ -43,6 +43,13 @@ def test_negative_mass_rejected():
         JointPMF(dims=(2,), indices=np.array([[0], [1]]), probs=np.array([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("mapping, dim", [({(5, 0): 0.5, (1, 1): 0.5}, 0),
+                                          ({(0, -1): 0.5, (1, 1): 0.5}, 1)])
+def test_index_rows_outside_dims_rejected(mapping, dim):
+    with pytest.raises(ValueError, match=f"dimension {dim}: index outside"):
+        JointPMF.from_mapping(mapping, (2, 2))
+
+
 def test_from_counts_normalizes():
     pmf = JointPMF.from_counts(np.array([[0], [1]]), [3, 1], (2,))
     assert pmf.prob((0,)) == pytest.approx(0.75)

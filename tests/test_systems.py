@@ -142,18 +142,19 @@ def test_closed_loop_blowup_matches_stepped_loop():
     assert _assert_loops_agree({"a": 1.004}, 0.0, 0.0, 2 * NOISE_BLOCK, 0, 1) > NOISE_BLOCK
 
 
-def test_linear_plant_spec_passes_every_plant_parameter():
+def test_linear_plant_blowup_threshold():
     with pytest.raises(NumericalBlowup, match="at step 5091 "):
         LinearPlant(a=1.001, blowup=1e3).closed_loop(0.0, 0.0, 10000, 1000, 1)
-    with pytest.raises(NumericalBlowup, match="at step 5091 "):
-        simulate(SystemSpec("linear-plant", {"a": 1.001, "blowup": 1e3}, seed=1))
 
 
-def test_linear_plant_spec_rejects_unknown_parameters():
-    spec = SystemSpec("linear-plant", {"noise_sd": 5.0})
-    with pytest.raises(ValueError, match="noise_sd"):
+@pytest.mark.parametrize("params", [{"noise_sd": 5.0}, {"a": 1.001, "blowup": 1e3}])
+def test_linear_plant_spec_rejects_unknown_parameters(params):
+    # a spec sets only PLANT_KEYS and theta_s; anything else would be ignored
+    spec = SystemSpec("linear-plant", params, seed=1)
+    bad = next(k for k in params if k != "a")
+    with pytest.raises(ValueError, match=bad):
         simulate(spec)
-    with pytest.raises(ValueError, match="noise_sd"):
+    with pytest.raises(ValueError, match=bad):
         simulate_controlled(spec, 0.5)
 
 

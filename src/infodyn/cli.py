@@ -208,11 +208,18 @@ def cmd_causality(config: dict, args, out_dir: Path) -> int:
 FIT_FAMILIES = ("affine-noise",)
 
 
-def _affine_noise_signal(theta, n_samples, seed):
+def _affine_noise_signal(theta, g):
     # two-parameter location/scale family: x = theta0 + theta1 * g
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(n_samples)
     return SignalMatrix((theta[0] + theta[1] * g)[:, None], ("x",))
+
+
+def _reference_pmf(true_theta, g, bins):
+    # the reference histogram on edges spanning its samples with a margin;
+    # the samples themselves are dropped on return
+    x = _affine_noise_signal(true_theta, g)
+    edges = np.linspace(x.values.min() - 1.0, x.values.max() + 1.0, bins + 1)
+    spec = PartitionSpec("explicit-edges", edges=(edges,))
+    return estimate_joint_pmf(discretize(x, spec), [(0, 0)]), spec
 
 
 def cmd_fit(config: dict, args, out_dir: Path) -> int:
@@ -224,6 +231,9 @@ def cmd_fit(config: dict, args, out_dir: Path) -> int:
         init_theta = np.asarray(config["init_theta"], dtype=float)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"fit config needs numeric true_theta and init_theta: {exc}") from exc
+    for key, theta in (("true_theta", true_theta), ("init_theta", init_theta)):
+        if theta.shape != (2,):
+            raise ConfigError(f"{family} needs {key} with exactly 2 entries, got {theta.tolist()}")
     bounds = config.get("bounds")
     n_samples = int(config.get("n_samples", 200000))
     seed = int(args.seed if args.seed is not None else config.get("seed", 0))
@@ -231,15 +241,13 @@ def cmd_fit(config: dict, args, out_dir: Path) -> int:
     options = {"epsilon": 1e-9}
     options.update(config.get("options", {}))
 
-    reference_signal = _affine_noise_signal(true_theta, n_samples, seed)
-    lo = reference_signal.values.min() - 1.0
-    hi = reference_signal.values.max() + 1.0
-    edges = np.linspace(lo, hi, bins + 1)
-    spec = PartitionSpec("explicit-edges", edges=(edges,))
-    ref_symbols = discretize(reference_signal, spec)
-    reference = estimate_joint_pmf(ref_symbols, [(0, 0)])
-
-    simulate = lambda p: _affine_noise_signal(p.theta, n_samples, seed)
+    # One noise draw serves the reference and every evaluation (common random
+    # numbers). The objective is a lag-0 histogram, blind to sample order, so
+    # the draw is sorted: theta0 + theta1*g stays monotone, and the bin search
+    # over monotone samples is about three times faster.
+    g = np.sort(np.random.default_rng(seed).standard_normal(n_samples))
+    reference, spec = _reference_pmf(true_theta, g, bins)
+    simulate = lambda p: _affine_noise_signal(p.theta, g)
     fitted, trace = modeling.kl_fit(simulate, reference, spec, ModelParams(init_theta, bounds), options)
     trace.write_csv(out_dir / "trace.csv")
 

@@ -104,8 +104,10 @@ def _quantile_codes(x: np.ndarray, n_bins: int) -> np.ndarray:
 
 def _edge_codes(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     # half-open cells [e_k, e_{k+1}), top cell closed; samples out of range
-    # are clipped into the end cells
-    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
+    # fall into the end cells (NaN into the top one). Searching the inner
+    # edges is clip(searchsorted(edges, x, "right") - 1, 0, len(edges) - 2)
+    # in one pass.
+    return np.searchsorted(edges[1:-1], x, side="right")
 
 
 def discretize(signal: SignalMatrix, spec: PartitionSpec | None = None) -> SymbolSeries:

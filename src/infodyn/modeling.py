@@ -109,10 +109,11 @@ def kl_fit(simulate, reference: JointPMF, observable_spec: PartitionSpec, init: 
     """Fit model parameters by descending KL(reference, pmf(simulate(theta))).
 
     simulate maps ModelParams to a SignalMatrix and must be deterministic
-    for fixed theta (seed any noise internally: common random numbers keep
-    the finite-difference gradient meaningful). The simulated observables
-    are discretized by observable_spec and compared against `reference` on
-    the same partition.
+    for fixed theta (common random numbers keep the finite-difference
+    gradient meaningful). The simulated observables are discretized by
+    observable_spec and compared against `reference` on the same partition.
+    The model PMF is a lag-0 histogram, so sample order is ignored: draw
+    any noise once, outside simulate, rather than on every evaluation.
 
     options: tol (default 1e-6 bits), max_iters (200), epsilon (KL floor
     for off-support cells, default None = infinite KL propagates),
@@ -122,8 +123,7 @@ def kl_fit(simulate, reference: JointPMF, observable_spec: PartitionSpec, init: 
     opts.update(options or {})
 
     def objective(theta):
-        signal = simulate(ModelParams(theta, init.bounds))
-        symbols = discretize(signal, observable_spec)
+        symbols = discretize(simulate(ModelParams(theta, init.bounds)), observable_spec)
         model_pmf = estimate_joint_pmf(symbols, [(v, 0) for v in range(symbols.n_variables)])
         return infocore.kl_divergence(reference, model_pmf, epsilon=opts["epsilon"])
 

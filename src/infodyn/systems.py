@@ -48,6 +48,13 @@ class SystemSpec:
     def param(self, name, default):
         return self.parameters.get(name, default)
 
+    def check_parameters(self):
+        """Refuse any parameter that this kind does not read (SYSTEM_KEYS):
+        a misspelt key would otherwise be ignored without a word."""
+        unknown = sorted(set(self.parameters) - set(SYSTEM_KEYS[self.kind]))
+        if unknown:
+            raise ValueError(f"unknown {self.kind} parameters {unknown}")
+
 
 class NumericalBlowup(RuntimeError):
     """Raised when a trajectory leaves the finite range, with the step index."""
@@ -79,8 +86,15 @@ def _coupled_logistic(spec: SystemSpec) -> SignalMatrix:
 # ---------------------------------------------------------------------------
 # Lorenz-96
 
-def _lorenz96_rhs(x, forcing):
-    return (np.roll(x, -1) - np.roll(x, 2)) * np.roll(x, 1) - x + forcing
+def _lorenz96_neighbours(n_sites):
+    # cyclic indices of sites i+1, i-2 and i-1, built once per run
+    i = np.arange(n_sites)
+    return (i + 1) % n_sites, (i - 2) % n_sites, (i - 1) % n_sites
+
+
+def _lorenz96_rhs(x, forcing, neighbours):
+    ip1, im2, im1 = neighbours
+    return (x[ip1] - x[im2]) * x[im1] - x + forcing
 
 
 def _rk4_step(rhs, x, dt):
@@ -98,7 +112,8 @@ def _lorenz96(spec: SystemSpec) -> SignalMatrix:
     x = forcing * np.ones(n_sites) + 0.01 * rng.standard_normal(n_sites)
     n_keep = spec.n_steps - spec.transient_steps
     out = np.empty((n_keep, n_sites))
-    rhs = lambda v: _lorenz96_rhs(v, forcing)
+    neighbours = _lorenz96_neighbours(n_sites)
+    rhs = lambda v: _lorenz96_rhs(v, forcing, neighbours)
     for n in range(spec.n_steps):
         x = _rk4_step(rhs, x, spec.dt)
         if not np.all(np.isfinite(x)):
@@ -156,6 +171,9 @@ def _goy_run(spec: SystemSpec):
     f = np.zeros(n, dtype=complex)
     f[int(p["forced_shell"])] = (1 + 1j) * p["f_amp"]
     cuts = np.asarray(p["cuts"], dtype=int)
+    bad = cuts[(cuts < 0) | (cuts >= n)]
+    if bad.size:
+        raise ValueError(f"goy-shell cut {int(bad[0])} outside [0, n_shells={n})")
     rng = np.random.default_rng(spec.seed)
     u = 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * k ** (-1 / 3)
 
@@ -195,6 +213,7 @@ def _goy_run(spec: SystemSpec):
 def goy_total_energy_drift(spec: SystemSpec) -> float:
     """Relative drift of total energy over the run; integrator sanity check
     meaningful when viscosity and forcing are zero."""
+    spec.check_parameters()
     p = {**GOY_DEFAULTS, **spec.parameters, "nu": 0.0, "f_amp": 0.0}
     probe = SystemSpec("goy-shell", p, spec.n_steps, 0, spec.seed, spec.dt)
     n = int(p["n_shells"])
@@ -298,17 +317,25 @@ class LinearPlant:
 
 
 def _linear_plant_signal(spec: SystemSpec, gain: float, theta_s: float) -> SignalMatrix:
-    unknown = sorted(set(spec.parameters) - {*PLANT_KEYS, "theta_s"})
-    if unknown:
-        raise ValueError(f"unknown linear-plant parameters {unknown}")
     plant = LinearPlant(**{k: float(v) for k, v in spec.parameters.items() if k in PLANT_KEYS})
     rows = plant.closed_loop(gain, theta_s, spec.n_steps, spec.transient_steps, spec.seed)
     return SignalMatrix(np.column_stack([rows, rows[:, 0]]), ("x", "S", "A", "J"), spec.dt)
 
 
+# parameter keys each system kind reads; SystemSpec.check_parameters refuses others
+SYSTEM_KEYS = {
+    "coupled-logistic": ("coupling",),
+    "lorenz96": ("n_sites", "forcing"),
+    "goy-shell": tuple(GOY_DEFAULTS),
+    "linear-plant": (*PLANT_KEYS, "theta_s"),
+    "symbolic-map": ("name",),
+}
+
+
 def simulate(spec: SystemSpec) -> SignalMatrix:
     """Run the system and return its labeled observables; deterministic for
     a fixed spec + seed, transient discarded."""
+    spec.check_parameters()
     if spec.kind == "coupled-logistic":
         return _coupled_logistic(spec)
     if spec.kind == "lorenz96":
@@ -333,6 +360,7 @@ def simulate_controlled(spec: SystemSpec, controller, law: str = "proportional-o
         raise ValueError(f"unknown control law {law!r}")
     if spec.kind != "linear-plant":
         raise ValueError("controlled simulation supports the linear-plant kind")
+    spec.check_parameters()
     beta = float(np.atleast_1d(controller.theta_aa)[0]) if hasattr(controller, "theta_aa") else float(controller)
     theta_s = 0.0
     if hasattr(controller, "theta_s") and np.size(controller.theta_s):

@@ -1,10 +1,15 @@
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from infodyn import cli, discretization, modeling
 from infodyn.cli import main
+from infodyn.discretization import PartitionSpec, discretize, estimate_joint_pmf
+from infodyn.modeling import ModelParams
+from infodyn.signals import SignalMatrix
 
 
 def run(tmp_path, command, config, out="run", extra=()):
@@ -103,6 +108,105 @@ def test_fit_converges_and_reports(tmp_path):
 def test_fit_unknown_family_exits_2(tmp_path):
     code, _ = run(tmp_path, "fit", {"family": "spline", "true_theta": [0.0], "init_theta": [0.0]})
     assert code == 2
+
+
+@pytest.mark.parametrize("key", ["true_theta", "init_theta"])
+def test_fit_refuses_theta_without_two_entries(tmp_path, capsys, key):
+    config = {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8], "n_samples": 1000}
+    config[key] = [0.5]
+    code, _ = run(tmp_path, "fit", config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: affine-noise needs {key} with exactly 2 entries")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("system, message", [
+    ({"kind": "goy-shell", "parameters": {"cuts": [50]}}, "cut 50 outside"),
+    ({"kind": "goy-shell", "parameters": {"cuts": [-1, 6]}}, "cut -1 outside"),
+    ({"kind": "coupled-logistic", "parameters": {"bogus": 3}}, "unknown coupled-logistic"),
+])
+def test_simulate_refuses_bad_system_parameters(tmp_path, capsys, system, message):
+    code, _ = run(tmp_path, "simulate", {"system": {**system, "n_steps": 300,
+                                                    "transient_steps": 0}})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _cmd_fit_redraw(config, args, out_dir):
+    # The former fit path, kept as the oracle: the noise is drawn afresh, in
+    # draw order, on every objective evaluation, and samples are binned by the
+    # three-pass edge formula. Configs given to it carry no ml_check.
+    def signal(theta, n_samples, seed):
+        g = np.random.default_rng(seed).standard_normal(n_samples)
+        return SignalMatrix((theta[0] + theta[1] * g)[:, None], ("x",))
+
+    true_theta = np.asarray(config["true_theta"], dtype=float)
+    init_theta = np.asarray(config["init_theta"], dtype=float)
+    bounds = config.get("bounds")
+    n_samples = int(config["n_samples"])
+    seed = int(config["seed"])
+    bins = int(config["bins"])
+    options = {"epsilon": 1e-9}
+    reference_signal = signal(true_theta, n_samples, seed)
+    edges = np.linspace(reference_signal.values.min() - 1.0,
+                        reference_signal.values.max() + 1.0, bins + 1)
+    spec = PartitionSpec("explicit-edges", edges=(edges,))
+    reference = estimate_joint_pmf(discretize(reference_signal, spec), [(0, 0)])
+    fitted, trace = modeling.kl_fit(lambda p: signal(p.theta, n_samples, seed), reference, spec,
+                                    ModelParams(init_theta, bounds), options)
+    trace.write_csv(out_dir / "trace.csv")
+    cli._write_report(out_dir, {
+        "command": "fit",
+        "config": {"family": "affine-noise", "true_theta": true_theta, "init_theta": init_theta,
+                   "bounds": bounds, "n_samples": n_samples, "seed": seed, "bins": bins,
+                   "options": options},
+        "fitted_theta": fitted.theta,
+        "theta_error": np.abs(fitted.theta - true_theta),
+        "converged": trace.converged,
+        "n_iterations": len(trace.records),
+        "best_kl": trace.best()["value"],
+    })
+    return cli.EXIT_OK if trace.converged else cli.EXIT_NO_CONVERGENCE
+
+
+@pytest.mark.parametrize("seed", [0, 3, 26])
+@pytest.mark.parametrize("init_theta, bounds", [
+    ([0.0, 0.8], [[-2, 2], [0.1, 3]]),
+    ([0.0, -0.8], [[-2, 2], [-3, -0.1]]),  # negative scale: reverse-sorted samples
+])
+def test_fit_on_one_sorted_draw_matches_redraw_oracle(tmp_path, monkeypatch, seed, init_theta,
+                                                      bounds):
+    config = {"true_theta": [0.5, 1.2], "init_theta": init_theta, "bounds": bounds,
+              "n_samples": 50000, "bins": 32, "seed": seed}
+    code, out = run(tmp_path, "fit", config, out="sorted")
+    with monkeypatch.context() as m:
+        m.setitem(cli.COMMANDS, "fit", _cmd_fit_redraw)
+        m.setattr(discretization, "_edge_codes", lambda x, e: np.clip(
+            np.searchsorted(e, x, side="right") - 1, 0, len(e) - 2))
+        oracle_code, oracle_out = run(tmp_path, "fit", config, out="redraw")
+    assert code == oracle_code
+    for name in ("report.json", "trace.csv"):
+        assert (out / name).read_bytes() == (oracle_out / name).read_bytes()
+
+
+def test_fit_peak_heap_below_five_sample_arrays(tmp_path):
+    # the noise draw, one model sample and its codes are live at once; the
+    # reference samples are not kept through the fit
+    n = 200_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code, _ = run(tmp_path, "fit", {
+            "true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8],
+            "bounds": [[-2, 2], [0.1, 3]], "n_samples": n, "bins": 32, "seed": 3})
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 5 * 8 * n, f"peak {peak / (8 * n):.2f} sample arrays"
 
 
 def test_control_reduces_variance(tmp_path):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from infodyn.discretization import PartitionSpec, SymbolSeries, discretize, estimate_joint_pmf
+from infodyn.discretization import (
+    PartitionSpec,
+    SymbolSeries,
+    _edge_codes,
+    discretize,
+    estimate_joint_pmf,
+)
 from infodyn.signals import SignalMatrix, read_csv, read_raw, write_csv, write_raw
 
 
@@ -72,6 +80,40 @@ def test_uniform_width_half_open_cells():
     sig = SignalMatrix(np.array([0.0, 1.0, 2.0, 3.0, 4.0])[:, None], ("x",))
     sym = discretize(sig, PartitionSpec("uniform-width", bins_per_variable=4))
     assert np.array_equal(sym.codes[:, 0], [0, 1, 2, 3, 3])
+
+
+def _edge_codes_three_pass(x, edges):
+    # the former formula: search all edges, shift, clip into the end cells
+    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
+
+
+@st.composite
+def _edges_and_samples(draw):
+    # sorted distinct edges, and samples on them, one ulp either side of
+    # them, beyond both ends, non-finite, and anywhere in between
+    values = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    edges = np.array(sorted(set(draw(st.lists(values, min_size=3, max_size=12)))))
+    if edges.size < 3:
+        edges = np.array([-1.0, 0.0, 1.0])
+    x = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [edges[0] - 1.0, edges[-1] + 1.0, -np.inf, np.inf, np.nan],
+        draw(st.lists(values, max_size=20)),
+    ])
+    return edges, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edges_and_samples())
+def test_edge_codes_match_three_pass_formula(case):
+    edges, x = case
+    codes = _edge_codes(x, edges)
+    expected = _edge_codes_three_pass(x, edges)
+    assert codes.dtype == expected.dtype
+    assert np.array_equal(codes, expected)
+    # monotone samples (the fit's sorted draw) bin the same as shuffled ones
+    order = np.random.default_rng(0).permutation(x.size)
+    assert np.array_equal(_edge_codes(x[order], edges), expected[order])
 
 
 def test_explicit_edges_clip_out_of_range():

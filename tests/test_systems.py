@@ -5,10 +5,14 @@ from infodyn.control import ControllerParams, rollout
 from infodyn.systems import (
     GOY_DEFAULTS,
     NOISE_BLOCK,
+    SYSTEM_KEYS,
     LinearPlant,
     NumericalBlowup,
     SystemSpec,
     _goy_nonlinear,
+    _lorenz96_neighbours,
+    _lorenz96_rhs,
+    _rk4_step,
     goy_total_energy_drift,
     simulate,
     simulate_controlled,
@@ -41,6 +45,30 @@ def test_lorenz96_bounded_chaos():
     assert sig.values.std() > 1.0  # not collapsed onto the fixed point
 
 
+def _lorenz96_rhs_roll(x, forcing):
+    # the former right-hand side, three np.roll calls per evaluation
+    return (np.roll(x, -1) - np.roll(x, 2)) * np.roll(x, 1) - x + forcing
+
+
+@pytest.mark.parametrize("n_sites", [4, 7, 8])
+def test_lorenz96_index_arrays_match_roll(n_sites):
+    rng = np.random.default_rng(n_sites)
+    neighbours = _lorenz96_neighbours(n_sites)
+    for _ in range(20):
+        x = 8.0 * rng.standard_normal(n_sites)
+        assert np.array_equal(_lorenz96_rhs(x, 8.0, neighbours), _lorenz96_rhs_roll(x, 8.0))
+    # a whole run, stepped with the np.roll form as the oracle
+    spec = SystemSpec("lorenz96", {"n_sites": n_sites, "forcing": 8.0},
+                      n_steps=400, transient_steps=100, dt=0.01, seed=3)
+    x = 8.0 * np.ones(n_sites) + 0.01 * np.random.default_rng(3).standard_normal(n_sites)
+    rows = []
+    for n in range(spec.n_steps):
+        x = _rk4_step(lambda v: _lorenz96_rhs_roll(v, 8.0), x, spec.dt)
+        if n >= spec.transient_steps:
+            rows.append(x)
+    assert np.array_equal(simulate(spec).values, np.array(rows))
+
+
 def test_goy_nonlinear_conserves_energy_instantaneously():
     # the nonlinear term alone must not change sum |u|^2: 2 Re <u, N(u)> = 0
     rng = np.random.default_rng(0)
@@ -61,6 +89,46 @@ def test_goy_signal_shape_and_names():
     assert sig.names == tuple(f"sigma{i + 1}" for i in range(len(GOY_DEFAULTS["cuts"])))
     assert sig.n_samples == 1000 // GOY_DEFAULTS["sample_every"]
     assert sig.dt == pytest.approx(2e-4 * GOY_DEFAULTS["sample_every"])
+
+
+@pytest.mark.parametrize("cuts, bad", [([50], "50"), ([-1, 6], "-1"), ([6, 19], "19")])
+def test_goy_refuses_cuts_outside_the_shells(cuts, bad):
+    # a cut past the last shell used to raise IndexError; a negative one
+    # silently read a shell counted from the end
+    spec = SystemSpec("goy-shell", {"cuts": cuts}, n_steps=200, transient_steps=0, dt=2e-4)
+    with pytest.raises(ValueError, match=f"cut {bad} outside"):
+        simulate(spec)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("coupled-logistic", {"bogus": 3}),
+    ("coupled-logistic", {"n_sites": 4}),
+    ("lorenz96", {"coupling": 0.4}),
+    ("goy-shell", {"n_shell": 12}),
+    ("symbolic-map", {"name": "xor", "n_samples": 10}),
+])
+def test_spec_refuses_parameters_the_kind_does_not_read(kind, params):
+    spec = SystemSpec(kind, params, n_steps=200, transient_steps=0)
+    with pytest.raises(ValueError, match=f"unknown {kind} parameters"):
+        simulate(spec)
+
+
+def test_every_kind_reads_its_declared_parameters():
+    # each kind runs with every key it declares set explicitly
+    specs = [
+        SystemSpec("coupled-logistic", {"coupling": 0.3}, n_steps=200, transient_steps=0),
+        SystemSpec("lorenz96", {"n_sites": 5, "forcing": 8.0}, n_steps=200, transient_steps=0,
+                   dt=0.01),
+        SystemSpec("goy-shell", dict(GOY_DEFAULTS), n_steps=200, transient_steps=0, dt=2e-4),
+        SystemSpec("linear-plant", {"a": 0.5, "noise_std": 0.5, "sensor_noise_std": 0.1,
+                                    "max_delay": 2.0, "theta_s": 1.0},
+                   n_steps=200, transient_steps=0),
+        SystemSpec("symbolic-map", {"name": "xor"}, n_steps=200, transient_steps=0),
+    ]
+    assert sorted(s.kind for s in specs) == sorted(SYSTEM_KEYS)
+    for spec in specs:
+        assert set(spec.parameters) == set(SYSTEM_KEYS[spec.kind])
+        assert simulate(spec).n_samples > 0
 
 
 def test_linear_plant_stationary_variance():

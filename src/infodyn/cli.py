@@ -4,7 +4,7 @@ Subcommands: simulate | causality | fit | control | fixtures. Each reads a
 JSON config, writes CSV and JSON reports into a run directory, and exits
 with 0 on success, 1 when the causality decomposition identity check
 fails, 2 on config or input errors, 3 when a fit fails to converge, and 4
-on plant failure. Reports embed the resolved config and
+on a numerical blow-up of any simulator. Reports embed the resolved config and
 are byte-identical across repeated runs with the same config and seed.
 """
 
@@ -113,6 +113,15 @@ def _write_report(out_dir: Path, payload: dict):
     (out_dir / "report.json").write_text(text)
 
 
+def _config_int(value, key: str) -> int:
+    """An integer config value. A bool, a string or a non-integral number is
+    refused: int() would read true as 1 and truncate 100.5 to 100."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _system_spec(cfg: dict, args) -> SystemSpec:
     cfg = dict(cfg)
     if args.seed is not None:
@@ -121,9 +130,9 @@ def _system_spec(cfg: dict, args) -> SystemSpec:
         return SystemSpec(
             kind=cfg["kind"],
             parameters=cfg.get("parameters", {}),
-            n_steps=int(cfg.get("n_steps", 10000)),
-            transient_steps=int(cfg.get("transient_steps", 1000)),
-            seed=int(cfg.get("seed", 0)),
+            n_steps=_config_int(cfg.get("n_steps", 10000), "n_steps"),
+            transient_steps=_config_int(cfg.get("transient_steps", 1000), "transient_steps"),
+            seed=_config_int(cfg.get("seed", 0), "seed"),
             dt=float(cfg.get("dt", 1e-3)),
         )
     except (KeyError, ValueError, TypeError) as exc:
@@ -166,9 +175,9 @@ def _load_signal(config: dict, args) -> SignalMatrix:
 
 def cmd_causality(config: dict, args, out_dir: Path) -> int:
     signal = _load_signal(config, args)
-    lag = int(args.lag if args.lag is not None else config.get("lag", 1))
-    order = int(args.order if args.order is not None else config.get("order", 1))
-    bins = int(args.bins if args.bins is not None else config.get("bins", 8))
+    lag = _config_int(args.lag if args.lag is not None else config.get("lag", 1), "lag")
+    order = _config_int(args.order if args.order is not None else config.get("order", 1), "order")
+    bins = _config_int(args.bins if args.bins is not None else config.get("bins", 8), "bins")
     scheme = config.get("scheme", "equiprobable-quantile")
     tol = float(config.get("identity_tolerance", 1e-10))
     symbols = discretize(signal, PartitionSpec(scheme=scheme, bins_per_variable=bins))
@@ -235,9 +244,9 @@ def cmd_fit(config: dict, args, out_dir: Path) -> int:
         if theta.shape != (2,):
             raise ConfigError(f"{family} needs {key} with exactly 2 entries, got {theta.tolist()}")
     bounds = config.get("bounds")
-    n_samples = int(config.get("n_samples", 200000))
-    seed = int(args.seed if args.seed is not None else config.get("seed", 0))
-    bins = int(args.bins if args.bins is not None else config.get("bins", 32))
+    n_samples = _config_int(config.get("n_samples", 200000), "n_samples")
+    seed = _config_int(args.seed if args.seed is not None else config.get("seed", 0), "seed")
+    bins = _config_int(args.bins if args.bins is not None else config.get("bins", 32), "bins")
     options = {"epsilon": 1e-9}
     options.update(config.get("options", {}))
 
@@ -267,8 +276,8 @@ def cmd_fit(config: dict, args, out_dir: Path) -> int:
         report["ml_check"] = _run_ml_check(
             float(mc.get("p_true", 0.3)),
             [float(p) for p in mc.get("p_grid", [i / 10 for i in range(1, 10)])],
-            int(mc.get("n_samples", 1000)),
-            int(mc.get("seed", seed)),
+            _config_int(mc.get("n_samples", 1000), "ml_check.n_samples"),
+            _config_int(mc.get("seed", seed), "ml_check.seed"),
         )
     _write_report(out_dir, report)
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
@@ -311,14 +320,17 @@ def cmd_control(config: dict, args, out_dir: Path) -> int:
         options["seed"] = args.seed
     if args.bins is not None:
         options["bins"] = args.bins
-    seed = int(options.get("seed", 0))
-    n_steps = int(options.get("n_steps", 4000))
-    transient = int(options.get("transient", 500))
-
-    uncontrolled = control.rollout(plant, init.replace(theta_aa=np.zeros_like(init.theta_aa)),
-                                   n_steps, transient, seed)
-    best, trace = control.optimize_controller(plant, target, init, options)
-    controlled = control.rollout(plant, best, n_steps, transient, seed)
+    # the search runs on the defaults overlaid by the options; the report
+    # keeps the options as given
+    opts = {**control.CONTROLLER_DEFAULTS, **options}
+    for key in ("seed", "n_steps", "transient", "bins"):
+        opts[key] = _config_int(opts[key], f"options.{key}")
+    steps = opts["n_steps"], opts["transient"], opts["seed"]
+    uncontrolled = control.rollout(plant, init.replace(theta_aa=np.zeros_like(init.theta_aa)), *steps)
+    if opts["reference_edges"] is None:  # the search would roll out the same trajectory
+        opts["reference_edges"] = control.padded_edges(uncontrolled, opts["bins"])
+    best, trace = control.optimize_controller(plant, target, init, opts)
+    controlled = control.rollout(plant, best, *steps)
     trace.write_csv(out_dir / "trace.csv")
     _write_report(out_dir, {
         "command": "control",
@@ -351,8 +363,8 @@ def cmd_fixtures(config: dict, args, out_dir: Path) -> int:
         if name not in suite:
             raise ConfigError(f"unknown fixture {name!r}; known: {sorted(suite)}")
         fx = suite[name]
-        n = int(config.get("n_samples", 1000))
-        seed = int(args.seed if args.seed is not None else config.get("seed", 0))
+        n = _config_int(config.get("n_samples", 1000), "n_samples")
+        seed = _config_int(args.seed if args.seed is not None else config.get("seed", 0), "seed")
         series = fx.sample(n, seed)
         write_csv(SignalMatrix(series.codes.astype(float), fx.names), out_dir / "samples.csv")
         payload["sampled"] = {"name": name, "n_samples": n, "seed": seed}

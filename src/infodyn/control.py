@@ -35,10 +35,22 @@ __all__ = [
     "build_auxiliary_target",
     "kl_objective",
     "optimize_controller",
+    "padded_edges",
     "rollout",
 ]
 
 EXACT_MI_THRESHOLD = 1e-9
+
+# optimize_controller's options when not given
+CONTROLLER_DEFAULTS = {
+    "n_steps": 4000, "transient": 500, "seed": 0, "bins": 8,
+    "inner_tol": 1e-6, "inner_iters": 40, "outer_iters": 8,
+    "relax_init": 0.6, "relax_decay": 0.5, "relax_floor": 1e-3,
+    "reference_edges": None, "initial_step": 0.05, "kl_floor": 1e-9,
+    # histogram objectives are piecewise constant at fine scales: the
+    # finite-difference step must exceed the bin-crossing granularity
+    "fd_step": 0.05,
+}
 
 
 @dataclass(frozen=True)
@@ -271,6 +283,14 @@ def rollout(plant, params: ControllerParams, n_steps: int, transient: int, seed:
     return SignalMatrix(rows, ("J", "S", "A"))
 
 
+def padded_edges(uncontrolled: SignalMatrix, bins: int) -> np.ndarray:
+    """Edges of the reference partition: bins equal cells over the range of
+    J in the uncontrolled trajectory, padded by 10% of the span each side."""
+    j = uncontrolled.column("J")
+    span = j.max() - j.min()
+    return np.linspace(j.min() - 0.1 * span, j.max() + 0.1 * span, bins + 1)
+
+
 def kl_objective(plant, params: ControllerParams, target: ControlTarget, relax, reference_edges,
                  n_steps: int = 4000, transient: int = 500, seed: int = 0,
                  kl_floor: float = 1e-9) -> float:
@@ -311,24 +331,12 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
     reject the iterate and contract the actuator bounds toward the last
     good point. Returns (best ControllerParams, OptimizationTrace).
     """
-    opts = {
-        "n_steps": 4000, "transient": 500, "seed": 0, "bins": 8,
-        "inner_tol": 1e-6, "inner_iters": 40, "outer_iters": 8,
-        "relax_init": 0.6, "relax_decay": 0.5, "relax_floor": 1e-3,
-        "reference_edges": None, "initial_step": 0.05, "kl_floor": 1e-9,
-        # histogram objectives are piecewise constant at fine scales: the
-        # finite-difference step must exceed the bin-crossing granularity
-        "fd_step": 0.05,
-    }
-    opts.update(options or {})
+    opts = {**CONTROLLER_DEFAULTS, **(options or {})}
     edges = opts["reference_edges"]
-    if edges is None:
-        # reference partition from the uncontrolled plant, padded 20%
-        base = rollout(plant, init.replace(theta_aa=np.zeros_like(init.theta_aa)),
-                       opts["n_steps"], opts["transient"], opts["seed"])
-        j = base.column("J")
-        span = j.max() - j.min()
-        edges = np.linspace(j.min() - 0.1 * span, j.max() + 0.1 * span, opts["bins"] + 1)
+    if edges is None:  # reference partition from the uncontrolled plant
+        edges = padded_edges(rollout(plant, init.replace(theta_aa=np.zeros_like(init.theta_aa)),
+                                        opts["n_steps"], opts["transient"], opts["seed"]),
+                                opts["bins"])
     edges = np.asarray(edges, dtype=float)
 
     trace = OptimizationTrace()

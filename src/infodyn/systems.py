@@ -10,6 +10,7 @@ joint PMFs.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ __all__ = [
     "SymbolicFixture",
 ]
 
-KINDS = ("coupled-logistic", "lorenz96", "goy-shell", "linear-plant", "symbolic-map")
+BLOWUP_CHECK_EVERY = 100  # steps between finiteness checks of an integrated state
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class SystemSpec:
     dt: float = 1e-3
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in SYSTEM_KEYS:
             raise ValueError(f"unknown system kind {self.kind!r}")
         if not self.n_steps > self.transient_steps >= 0:
             raise ValueError("need n_steps > transient_steps >= 0")
@@ -64,23 +65,53 @@ class NumericalBlowup(RuntimeError):
         self.step = step
 
 
+def _integrate(step, x0, spec: SystemSpec, observe, sample_every=1):
+    """Run spec.n_steps steps x <- step(x) from x0. After the transient,
+    observe(x) is kept every sample_every-th step, as many rows as whole
+    sampling periods fit. The state is checked finite every
+    BLOWUP_CHECK_EVERY steps and after the last one; a non-finite state
+    raises NumericalBlowup at the step where it was found.
+    Returns (kept rows, final state)."""
+    n_keep = (spec.n_steps - spec.transient_steps) // sample_every
+    keep = range(spec.transient_steps, spec.n_steps, sample_every)[:n_keep]
+    rows = np.empty((n_keep, np.size(observe(x0))))  # observe(x0) only sizes a row
+    x = x0
+    # the finiteness check reports overflow, so NumPy's per-operation warnings
+    # are dropped (np.errstate would slow every ufunc call by ~0.1 us)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for n in range(spec.n_steps):
+            x = step(x)
+            if (n % BLOWUP_CHECK_EVERY == 0 or n == spec.n_steps - 1) and not np.all(np.isfinite(x)):
+                raise NumericalBlowup(n, spec.kind)
+            if n in keep:
+                rows[(n - keep.start) // sample_every] = observe(x)
+    return rows, x
+
+
+def _rk4_step(rhs, x, dt):
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * dt * k1)
+    k3 = rhs(x + 0.5 * dt * k2)
+    k4 = rhs(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 # ---------------------------------------------------------------------------
 # coupled logistic maps
 
 def _coupled_logistic(spec: SystemSpec) -> SignalMatrix:
     c = float(spec.param("coupling", 0.4))
-    rng = np.random.default_rng(spec.seed)
-    x, y = rng.uniform(0.1, 0.9, size=2)
-    n_keep = spec.n_steps - spec.transient_steps
-    out = np.empty((n_keep, 2))
-    for n in range(spec.n_steps):
-        x_new = 4.0 * x * (1.0 - x)
+
+    def step(state):  # y is driven by x through the coupling c
+        x, y = state
         y_mix = (1.0 - c) * y + c * x
-        y_new = 4.0 * y_mix * (1.0 - y_mix)
-        x, y = x_new, y_new
-        if n >= spec.transient_steps:
-            out[n - spec.transient_steps] = (x, y)
-    return SignalMatrix(out, ("x", "y"), spec.dt)
+        return 4.0 * x * (1.0 - x), 4.0 * y_mix * (1.0 - y_mix)
+
+    # Python floats: the same IEEE operations as NumPy scalars, faster per step
+    x0 = tuple(np.random.default_rng(spec.seed).uniform(0.1, 0.9, size=2).tolist())
+    rows, _ = _integrate(step, x0, spec, lambda state: state)
+    return SignalMatrix(rows, ("x", "y"), spec.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -97,30 +128,15 @@ def _lorenz96_rhs(x, forcing, neighbours):
     return (x[ip1] - x[im2]) * x[im1] - x + forcing
 
 
-def _rk4_step(rhs, x, dt):
-    k1 = rhs(x)
-    k2 = rhs(x + 0.5 * dt * k1)
-    k3 = rhs(x + 0.5 * dt * k2)
-    k4 = rhs(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def _lorenz96(spec: SystemSpec) -> SignalMatrix:
     n_sites = int(spec.param("n_sites", 8))
     forcing = float(spec.param("forcing", 8.0))
     rng = np.random.default_rng(spec.seed)
-    x = forcing * np.ones(n_sites) + 0.01 * rng.standard_normal(n_sites)
-    n_keep = spec.n_steps - spec.transient_steps
-    out = np.empty((n_keep, n_sites))
+    x0 = forcing * np.ones(n_sites) + 0.01 * rng.standard_normal(n_sites)
     neighbours = _lorenz96_neighbours(n_sites)
     rhs = lambda v: _lorenz96_rhs(v, forcing, neighbours)
-    for n in range(spec.n_steps):
-        x = _rk4_step(rhs, x, spec.dt)
-        if not np.all(np.isfinite(x)):
-            raise NumericalBlowup(n, "lorenz96")
-        if n >= spec.transient_steps:
-            out[n - spec.transient_steps] = x
-    return SignalMatrix(out, tuple(f"x{i}" for i in range(n_sites)), spec.dt)
+    rows, _ = _integrate(lambda x: _rk4_step(rhs, x, spec.dt), x0, spec, lambda x: x)
+    return SignalMatrix(rows, tuple(f"x{i}" for i in range(n_sites)), spec.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -142,89 +158,75 @@ GOY_DEFAULTS = {
 }
 
 
-def _goy_coefficients(k, eps):
-    # interaction weights with the boundary shells zeroed via lag products
-    km1 = np.concatenate(([0.0], k[:-1]))
-    km2 = np.concatenate(([0.0, 0.0], k[:-2]))
-    return eps * km1, (1.0 - eps) * km2
-
-
-def _goy_nonlinear(u, k, eps, coeff=None):
-    """Nonlinear shell-interaction term; conserves total energy sum |u_n|^2."""
+def _goy_nonlinear(u, k, coeff):
+    """Nonlinear shell-interaction term; conserves total energy sum |u_n|^2.
+    coeff = (c1, c2) weighs the two interactions with the shell below."""
     n = u.shape[0]
-    c1, c2 = _goy_coefficients(k, eps) if coeff is None else coeff
     pad = np.zeros(n + 4, dtype=complex)
     pad[2 : n + 2] = u
-    up1 = pad[3 : n + 3]
-    up2 = pad[4 : n + 4]
-    um1 = pad[1 : n + 1]
-    um2 = pad[:n]
-    term = k * up1 * up2 - c1 * um1 * up1 - c2 * um1 * um2
+    um2, um1, up1, up2 = pad[:n], pad[1 : n + 1], pad[3 : n + 3], pad[4:]
+    term = k * up1 * up2 - coeff[0] * um1 * up1 - coeff[1] * um1 * um2
     return 1j * np.conj(term)
 
 
-def _goy_run(spec: SystemSpec):
-    p = {**GOY_DEFAULTS, **spec.parameters}
+def _goy_model(spec: SystemSpec, **overrides):
+    """GOY set-up shared by the run and the energy check: the parameters
+    (defaults, then the spec's, then overrides) checked against their
+    ranges, the RK4 step, the nonlinear term and the seeded initial state."""
+    p = {**GOY_DEFAULTS, **spec.parameters, **overrides}
     n = int(p["n_shells"])
-    k = p["k0"] * p["lam"] ** np.arange(1, n + 1)
-    nu, eps = p["nu"], p["eps"]
-    f = np.zeros(n, dtype=complex)
-    f[int(p["forced_shell"])] = (1 + 1j) * p["f_amp"]
-    cuts = np.asarray(p["cuts"], dtype=int)
+    if not 0 <= p["forced_shell"] < n:
+        raise ValueError(f"goy-shell forced_shell {p['forced_shell']} outside [0, n_shells={n})")
+    if not p["sample_every"] >= 1:
+        raise ValueError(f"goy-shell sample_every {p['sample_every']} is not >= 1")
+    cuts = p["cuts"] = np.asarray(p["cuts"], dtype=int)
     bad = cuts[(cuts < 0) | (cuts >= n)]
     if bad.size:
         raise ValueError(f"goy-shell cut {int(bad[0])} outside [0, n_shells={n})")
+    k = p["k0"] * p["lam"] ** np.arange(1, n + 1)
+    # interaction weights with the boundary shells zeroed via lag products
+    km1 = np.concatenate(([0.0], k[:-1]))
+    km2 = np.concatenate(([0.0, 0.0], k[:-2]))
+    coeff = (p["eps"] * km1, (1.0 - p["eps"]) * km2)
+    damp = p["nu"] * k**2
+    f = np.zeros(n, dtype=complex)
+    f[int(p["forced_shell"])] = (1 + 1j) * p["f_amp"]
+    rhs = lambda v: _goy_nonlinear(v, k, coeff) - damp * v + f
     rng = np.random.default_rng(spec.seed)
-    u = 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * k ** (-1 / 3)
+    u0 = 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * k ** (-1 / 3)
+    step = lambda u: _rk4_step(rhs, u, spec.dt)
+    return p, step, lambda u: _goy_nonlinear(u, k, coeff), u0
 
-    coeff = _goy_coefficients(k, eps)
-    damp = nu * k**2
 
-    def rhs(v):
-        return _goy_nonlinear(v, k, eps, coeff) - damp * v + f
+def _goy_run(spec: SystemSpec) -> SignalMatrix:
+    p, step, nonlinear, u0 = _goy_model(spec)
+    cuts = p["cuts"]
+
+    def flux(u):
+        # energy flux through each cut: net rate at which the nonlinear
+        # term drains energy from the shells at and below the cut index
+        return -np.cumsum(2.0 * np.real(np.conj(u) * nonlinear(u)))[cuts]
 
     sample_every = int(p["sample_every"])
-    sample_dt = spec.dt * sample_every
+    rows, _ = _integrate(step, u0, spec, flux, sample_every)
     # exponential smoothing stands in for a volume average over the
     # observation region; alpha derived from the declared smoothing time
+    sample_dt = spec.dt * sample_every
     alpha = min(1.0, sample_dt / p["smooth_time"]) if p["smooth_time"] > 0 else 1.0
-    n_keep = (spec.n_steps - spec.transient_steps) // sample_every
-    out = np.empty((n_keep, len(cuts)))
-    dt = spec.dt
-    kept = 0
-    smoothed = None
-    for step in range(spec.n_steps):
-        u = _rk4_step(rhs, u, dt)
-        if step % 100 == 0 and not np.all(np.isfinite(u)):
-            raise NumericalBlowup(step, "goy-shell")
-        if step >= spec.transient_steps and (step - spec.transient_steps) % sample_every == 0 and kept < n_keep:
-            nl = _goy_nonlinear(u, k, eps, coeff)
-            # energy flux through each cut: net rate at which the nonlinear
-            # term drains energy from the shells at and below the cut index
-            cum = np.cumsum(2.0 * np.real(np.conj(u) * nl))
-            sample = -cum[cuts]
-            smoothed = sample if smoothed is None else alpha * sample + (1 - alpha) * smoothed
-            out[kept] = smoothed
-            kept += 1
+    for i in range(1, len(rows)):
+        rows[i] = alpha * rows[i] + (1 - alpha) * rows[i - 1]
     names = tuple(f"sigma{b + 1}" for b in range(len(cuts)))
-    return SignalMatrix(out[:kept], names, sample_dt), u
+    return SignalMatrix(rows, names, sample_dt)
 
 
 def goy_total_energy_drift(spec: SystemSpec) -> float:
-    """Relative drift of total energy over the run; integrator sanity check
-    meaningful when viscosity and forcing are zero."""
+    """Relative drift of total energy over the run with viscosity and
+    forcing set to zero; an integrator sanity check."""
     spec.check_parameters()
-    p = {**GOY_DEFAULTS, **spec.parameters, "nu": 0.0, "f_amp": 0.0}
-    probe = SystemSpec("goy-shell", p, spec.n_steps, 0, spec.seed, spec.dt)
-    n = int(p["n_shells"])
-    k = p["k0"] * p["lam"] ** np.arange(1, n + 1)
-    rng = np.random.default_rng(probe.seed)
-    u = 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * k ** (-1 / 3)
-    e0 = np.sum(np.abs(u) ** 2)
-    rhs = lambda v: _goy_nonlinear(v, k, p["eps"])
-    for _ in range(probe.n_steps):
-        u = _rk4_step(rhs, u, probe.dt)
-    return abs(np.sum(np.abs(u) ** 2) - e0) / e0
+    p, step, _, u0 = _goy_model(spec, nu=0.0, f_amp=0.0)
+    energy = lambda u: np.sum(np.abs(u) ** 2)
+    _, u = _integrate(step, u0, spec, energy, int(p["sample_every"]))
+    return abs(energy(u) - energy(u0)) / energy(u0)
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +343,16 @@ def simulate(spec: SystemSpec) -> SignalMatrix:
     if spec.kind == "lorenz96":
         return _lorenz96(spec)
     if spec.kind == "goy-shell":
-        return _goy_run(spec)[0]
+        return _goy_run(spec)
     if spec.kind == "linear-plant":
         return _linear_plant_signal(spec, gain=0.0, theta_s=float(spec.param("theta_s", 0.0)))
-    if spec.kind == "symbolic-map":
-        name = spec.param("name", None)
-        if name is None:
-            raise ValueError("symbolic-map spec needs parameters['name']")
-        fixture = symbolic_map_suite()[name]
-        symbols = fixture.sample(spec.n_steps - spec.transient_steps, spec.seed)
-        return SignalMatrix(symbols.codes.astype(float), fixture.names, spec.dt)
-    raise ValueError(f"unknown kind {spec.kind!r}")
+    # symbolic-map, the one kind left
+    suite, name = symbolic_map_suite(), spec.param("name", None)
+    if name not in suite:
+        raise ValueError(f"symbolic-map needs a known parameters['name'], got {name!r}; "
+                         f"known: {sorted(suite)}")
+    symbols = suite[name].sample(spec.n_steps - spec.transient_steps, spec.seed)
+    return SignalMatrix(symbols.codes.astype(float), suite[name].names, spec.dt)
 
 
 def simulate_controlled(spec: SystemSpec, controller, law: str = "proportional-opposition") -> SignalMatrix:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from infodyn import cli, discretization, modeling
+from infodyn import cli, control, discretization, modeling
 from infodyn.cli import main
 from infodyn.discretization import PartitionSpec, discretize, estimate_joint_pmf
 from infodyn.modeling import ModelParams
@@ -125,14 +125,34 @@ def test_fit_refuses_theta_without_two_entries(tmp_path, capsys, key):
     ({"kind": "goy-shell", "parameters": {"cuts": [50]}}, "cut 50 outside"),
     ({"kind": "goy-shell", "parameters": {"cuts": [-1, 6]}}, "cut -1 outside"),
     ({"kind": "coupled-logistic", "parameters": {"bogus": 3}}, "unknown coupled-logistic"),
+    ({"kind": "goy-shell", "parameters": {"forced_shell": 40}}, "forced_shell 40 outside"),
+    ({"kind": "goy-shell", "parameters": {"sample_every": 0}}, "sample_every 0 is not >= 1"),
+    ({"kind": "symbolic-map", "parameters": {"name": "nope"}},
+     "known parameters['name'], got 'nope'; known: ['markov_pair'"),
+    ({"kind": "coupled-logistic", "n_steps": 100.5}, "n_steps must be an integer, got 100.5"),
+    ({"kind": "coupled-logistic", "seed": True}, "seed must be an integer, got True"),
 ])
 def test_simulate_refuses_bad_system_parameters(tmp_path, capsys, system, message):
-    code, _ = run(tmp_path, "simulate", {"system": {**system, "n_steps": 300,
-                                                    "transient_steps": 0}})
+    code, _ = run(tmp_path, "simulate", {"system": {"n_steps": 300, "transient_steps": 0,
+                                                    **system}})
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")  # no NumPy overflow warning on stderr either
+@pytest.mark.parametrize("system, step", [
+    ({"kind": "coupled-logistic", "parameters": {"coupling": 3.0}, "n_steps": 300}, 100),
+    ({"kind": "lorenz96", "dt": 5.0, "n_steps": 300}, 100),
+    # diverges after the last periodic check, caught on the final state
+    ({"kind": "goy-shell", "dt": 50, "n_steps": 60, "parameters": {"sample_every": 1}}, 59),
+])
+def test_simulate_blowup_of_any_kind_exits_4(tmp_path, capsys, system, step):
+    code, _ = run(tmp_path, "simulate", {"system": {**system, "transient_steps": 0}})
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == f"error: numerical blow-up at step {step} in {system['kind']}\n"
 
 
 def _cmd_fit_redraw(config, args, out_dir):
@@ -219,6 +239,30 @@ def test_control_reduces_variance(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["controlled_variance"] < report["uncontrolled_variance"]
     assert (out / "trace.csv").exists()
+
+
+def test_control_rolls_out_the_uncontrolled_plant_once(tmp_path, monkeypatch):
+    # the reference edges come from the zero-gain rollout the report uses
+    gains = []
+    rollout = control.rollout
+
+    def counted(plant, params, *args):
+        gains.append(params.theta_aa.tolist())
+        return rollout(plant, params, *args)
+
+    monkeypatch.setattr(control, "rollout", counted)
+    code, _ = run(tmp_path, "control", {
+        "init": {"theta_s": [0.0], "theta_aa": [0.1]},
+        "options": {"n_steps": 600, "transient": 100, "bins": 4, "outer_iters": 1,
+                    "inner_iters": 2}})
+    assert code == 0
+    assert gains[0] == [0.0] and [0.0] not in gains[1:]
+
+
+def test_control_options_must_be_integers(tmp_path, capsys):
+    code, _ = run(tmp_path, "control", {"options": {"n_steps": 600.5}})
+    assert code == 2
+    assert capsys.readouterr().err == "error: options.n_steps must be an integer, got 600.5\n"
 
 
 def test_fixtures_catalog_and_samples(tmp_path):

@@ -9,6 +9,7 @@ from infodyn.systems import (
     LinearPlant,
     NumericalBlowup,
     SystemSpec,
+    _goy_model,
     _goy_nonlinear,
     _lorenz96_neighbours,
     _lorenz96_rhs,
@@ -32,6 +33,28 @@ def test_simulate_deterministic():
     a = simulate(spec)
     b = simulate(spec)
     assert np.array_equal(a.values, b.values)
+
+
+def _coupled_logistic_oracle(spec):
+    # the former coupled-logistic loop, on NumPy scalars
+    c = float(spec.param("coupling", 0.4))
+    x, y = np.random.default_rng(spec.seed).uniform(0.1, 0.9, size=2)
+    out = np.empty((spec.n_steps - spec.transient_steps, 2))
+    for n in range(spec.n_steps):
+        x_new = 4.0 * x * (1.0 - x)
+        y_mix = (1.0 - c) * y + c * x
+        y_new = 4.0 * y_mix * (1.0 - y_mix)
+        x, y = x_new, y_new
+        if n >= spec.transient_steps:
+            out[n - spec.transient_steps] = (x, y)
+    return out
+
+
+@pytest.mark.parametrize("coupling", [0.4, 0.0, 0.9, 1.0])
+def test_coupled_logistic_matches_former_loop(coupling):
+    for seed, n_steps, transient in ((0, 3000, 500), (7, 1000, 0), (11, 202, 200)):
+        spec = SystemSpec("coupled-logistic", {"coupling": coupling}, n_steps, transient, seed)
+        assert np.array_equal(simulate(spec).values, _coupled_logistic_oracle(spec))
 
 
 def test_coupled_logistic_stays_in_unit_interval():
@@ -70,13 +93,78 @@ def test_lorenz96_index_arrays_match_roll(n_sites):
 
 
 def test_goy_nonlinear_conserves_energy_instantaneously():
-    # the nonlinear term alone must not change sum |u|^2: 2 Re <u, N(u)> = 0
+    # the nonlinear term alone must not change sum |u|^2: 2 Re <u, N(u)> = 0,
+    # with the coefficients the model builds, at any eps
     rng = np.random.default_rng(0)
-    n = 19
-    k = 0.0625 * 2.0 ** np.arange(1, n + 1)
-    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    nl = _goy_nonlinear(u, k, 0.5)
-    assert abs(np.sum(2 * np.real(np.conj(u) * nl))) < 1e-10 * np.sum(np.abs(u) ** 2)
+    for eps in (0.5, 0.3):
+        _, _, nonlinear, _ = _goy_model(SystemSpec("goy-shell", {"eps": eps}))
+        u = rng.standard_normal(19) + 1j * rng.standard_normal(19)
+        nl = nonlinear(u)
+        assert abs(np.sum(2 * np.real(np.conj(u) * nl))) < 1e-10 * np.sum(np.abs(u) ** 2)
+
+
+def _goy_setup_oracle(spec):
+    # the former GOY set-up, repeated by the run and the drift check
+    p = {**GOY_DEFAULTS, **spec.parameters}
+    n = int(p["n_shells"])
+    k = p["k0"] * p["lam"] ** np.arange(1, n + 1)
+    coeff = (p["eps"] * np.concatenate(([0.0], k[:-1])),
+             (1.0 - p["eps"]) * np.concatenate(([0.0, 0.0], k[:-2])))
+    rng = np.random.default_rng(spec.seed)
+    u = 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * k ** (-1 / 3)
+    return p, k, coeff, u
+
+
+def _goy_run_oracle(spec):
+    # the former GOY loop: transient, sampling and smoothing inline
+    p, k, coeff, u = _goy_setup_oracle(spec)
+    f = np.zeros(len(k), dtype=complex)
+    f[int(p["forced_shell"])] = (1 + 1j) * p["f_amp"]
+    damp = p["nu"] * k**2
+    rhs = lambda v: _goy_nonlinear(v, k, coeff) - damp * v + f
+    cuts = np.asarray(p["cuts"], dtype=int)
+    sample_every = int(p["sample_every"])
+    alpha = min(1.0, spec.dt * sample_every / p["smooth_time"]) if p["smooth_time"] > 0 else 1.0
+    n_keep = (spec.n_steps - spec.transient_steps) // sample_every
+    out = np.empty((n_keep, len(cuts)))
+    kept, smoothed = 0, None
+    for step in range(spec.n_steps):
+        u = _rk4_step(rhs, u, spec.dt)
+        if (step >= spec.transient_steps and (step - spec.transient_steps) % sample_every == 0
+                and kept < n_keep):
+            sample = -np.cumsum(2.0 * np.real(np.conj(u) * _goy_nonlinear(u, k, coeff)))[cuts]
+            smoothed = sample if smoothed is None else alpha * sample + (1 - alpha) * smoothed
+            out[kept] = smoothed
+            kept += 1
+    return out[:kept]
+
+
+def _goy_drift_oracle(spec):
+    # the former drift loop: the nonlinear term alone, every step from step 0
+    _, k, coeff, u = _goy_setup_oracle(spec)
+    e0 = np.sum(np.abs(u) ** 2)
+    for _ in range(spec.n_steps):
+        u = _rk4_step(lambda v: _goy_nonlinear(v, k, coeff), u, spec.dt)
+    return abs(np.sum(np.abs(u) ** 2) - e0) / e0
+
+
+@pytest.mark.parametrize("params, n_steps, transient", [
+    ({}, 600, 100),
+    ({"sample_every": 3, "cuts": [2, 9]}, 601, 0),  # step 600 starts a period that does not fit
+    ({"sample_every": 1, "smooth_time": 0.0, "n_shells": 12, "cuts": [0, 11], "eps": 0.3,
+      "forced_shell": 0}, 300, 37),
+])
+def test_goy_run_matches_former_loop(params, n_steps, transient):
+    for seed in (0, 5):
+        spec = SystemSpec("goy-shell", params, n_steps, transient, seed, dt=2e-4)
+        assert np.array_equal(simulate(spec).values, _goy_run_oracle(spec))
+
+
+@pytest.mark.parametrize("seed, transient", [(1, 0), (4, 300)])
+def test_goy_energy_drift_matches_former_loop(seed, transient):
+    # the drift runs every step from step 0 whatever the transient
+    spec = SystemSpec("goy-shell", {"nu": 1e-3, "f_amp": 0.1}, 700, transient, seed, dt=2e-4)
+    assert goy_total_energy_drift(spec) == _goy_drift_oracle(spec)
 
 
 def test_goy_energy_drift_inviscid():

@@ -9,6 +9,7 @@ from .causality import (
     correlation_map,
     flux_report,
     flux_report_from_pmf,
+    flux_reports,
     information_flux,
     information_leak,
 )

@@ -9,15 +9,16 @@ identity  sum(fluxes) + leak = H(target future)  hold by construction.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
-from . import infocore
-from .discretization import SymbolSeries, estimate_joint_pmf
-from .pmf import JointPMF
+from .discretization import OccupancyWarning, SymbolSeries, _warn_if_sparse, estimate_joint_pmf
+from .infocore import _weights_entropy
+from .pmf import JointPMF, _code_tally, _count_codes, _marginal_walk
 from .signals import SignalMatrix
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "information_flux",
     "information_leak",
     "flux_report",
+    "flux_reports",
     "flux_report_from_pmf",
     "causality_map",
     "correlation_map",
@@ -75,34 +77,70 @@ class FluxReport:
 
 
 def _check_lattice_size(n_variables: int, order: int):
-    n_sets = sum(comb(n_variables, k) for k in range(order + 1))
+    n_sets = sum(math.comb(n_variables, k) for k in range(order + 1))
     if n_sets > SUBSET_CAP:
         raise ValueError(f"flux lattice ({n_sets} conditioning sets) exceeds cap {SUBSET_CAP}")
 
 
-def _flux_lattice(joint: JointPMF, variables, order: int):
-    """Fluxes to dim 0 of `joint` from every subset of `variables` with
-    1..order members (present variable v lives at dim v + 1), and the leak.
+def _entropy_table(tally, dims, removable, depth) -> dict[int, float]:
+    """Entropy of each marginal of `tally` that sums out at most `depth` of
+    the dimensions in `removable`, keyed by the bitmask of the summed-out
+    present variables (present variable v lives at dim v + 1)."""
+    return {removed >> 1: _weights_entropy(w)
+            for removed, _, w in _marginal_walk(*tally, dims, removable, depth)}
 
-    For each subset A (keyed by bitmask) h[A] = H(target | every present
-    variable outside A) is computed once. These subsets are closed under
-    removal, so an in-place Moebius transform over them turns h[S] into the
-    flux of S and leaves h[empty] = H(target | all present variables), the
-    leak.
+
+def _subset_entropies(joint: JointPMF, variables, order: int, present=None):
+    """The entropy table behind the fluxes to dim 0 of `joint` from the
+    subsets of `variables` with at most `order` members. For each such
+    subset A (keyed by bitmask), C is every present variable outside A;
+    returns {A: H(target, C)}, {A: H(C)} and H(target).
+
+    Both tables come from walks over the joint's tally, on integer counts
+    when the joint keeps them. The {A: H(C)} half is then the same, bit for
+    bit, for every target of one SymbolSeries (the same rows, counted
+    exactly), so a caller holding it passes it as `present`."""
+    tally = cells, weights = _code_tally(joint)
+    removable = [v + 1 for v in variables]
+    target_stride = math.prod(joint.dims[1:])  # cells % stride zeroes the target digit
+    if present is None:
+        present = _entropy_table(_count_codes(cells % target_stride, weights), joint.dims,
+                                 removable, order)
+    with_target = _entropy_table(tally, joint.dims, removable, order)
+    target_entropy = _weights_entropy(_count_codes(cells // target_stride, weights)[1])
+    return with_target, present, target_entropy
+
+
+def _flux_lattice(joint: JointPMF, variables, order: int, present=None):
+    """Fluxes to dim 0 of `joint` from every subset of `variables` with
+    1..order members, the leak, H(target) and the {A: H(C)} table used
+    (see `_subset_entropies`).
+
+    h[A] = H(target | C) is H(target, C) - H(C). The subsets are closed
+    under removal, so an in-place Moebius transform over them turns h[S]
+    into the flux of S and leaves h[empty] = H(target | all present
+    variables), the leak.
     """
     _check_lattice_size(len(variables), order)
-    n = joint.ndim - 1
-    subsets = [s for k in range(order + 1) for s in combinations(variables, k)]
-    masks = [sum(1 << v for v in s) for s in subsets]
-    h = {m: infocore.conditional_entropy(joint, [0], [v + 1 for v in range(n) if not m >> v & 1])
-         for m in masks}
+    with_target, present, target_entropy = _subset_entropies(joint, variables, order, present)
+    h = {m: with_target[m] - present[m] for m in with_target}
     leak = h[0]
     for v in variables:
         bit = 1 << v
         for m in h:
             if m & bit:
                 h[m] -= h[m ^ bit]
-    return {s: h[m] for s, m in zip(subsets[1:], masks[1:])}, leak
+    subsets = [s for k in range(1, order + 1) for s in combinations(variables, k)]
+    return {s: h[sum(1 << v for v in s)] for s in subsets}, leak, target_entropy, present
+
+
+def _report(joint: JointPMF, target: int, lag: int, order: int, present=None):
+    """FluxReport over every subset of the present variables up to `order`,
+    and the {A: H(C)} table it used."""
+    fluxes, leak, target_entropy, present = _flux_lattice(joint, range(joint.ndim - 1), order,
+                                                          present)
+    return FluxReport(target=target, lag=lag, fluxes=fluxes, leak=leak,
+                      target_entropy=target_entropy), present
 
 
 def _joint(query: FluxQuery) -> JointPMF:
@@ -139,7 +177,29 @@ def flux_report(query: FluxQuery) -> FluxReport:
     """
     # refuse an oversized lattice before estimating the joint
     _check_lattice_size(query.symbols.n_variables, query.max_order)
-    return flux_report_from_pmf(_joint(query), query.target, query.lag, query.max_order)
+    return _report(_joint(query), query.target, query.lag, query.max_order)[0]
+
+
+def flux_reports(symbols: SymbolSeries, lag: int = 1, max_order: int | None = None) -> list[FluxReport]:
+    """flux_report of every target variable in turn, equal to it bit for bit.
+
+    The entropies of the present variables alone are computed once and
+    shared by every target. The occupancy warning of the joint estimates is
+    given once, for the joint with the most occupied cells (they all count
+    the same rows)."""
+    queries = [FluxQuery(symbols, target=j, lag=lag, max_order=max_order)
+               for j in range(symbols.n_variables)]
+    _check_lattice_size(symbols.n_variables, queries[0].max_order)
+    reports, present, occupied = [], None, 0
+    for query in queries:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OccupancyWarning)
+            joint = _joint(query)
+        occupied = max(occupied, joint.support_count)
+        report, present = _report(joint, query.target, query.lag, query.max_order, present)
+        reports.append(report)
+    _warn_if_sparse(occupied, symbols.n_samples - lag, stacklevel=2)
+    return reports
 
 
 def flux_report_from_pmf(joint: JointPMF, target: int = 0, lag: int = 1, max_order: int | None = None) -> FluxReport:
@@ -147,14 +207,7 @@ def flux_report_from_pmf(joint: JointPMF, target: int = 0, lag: int = 1, max_ord
     the target's future and dimensions 1..N are the present variables.
     `target` and `lag` only label the report."""
     n = joint.ndim - 1
-    fluxes, leak = _flux_lattice(joint, tuple(range(n)), n if max_order is None else max_order)
-    return FluxReport(
-        target=target,
-        lag=lag,
-        fluxes=fluxes,
-        leak=leak,
-        target_entropy=infocore.entropy(joint, [0]),
-    )
+    return _report(joint, target, lag, n if max_order is None else max_order)[0]
 
 
 @dataclass
@@ -186,8 +239,7 @@ class CausalityMap:
         """Map read from one FluxReport per target, in target order, each
         holding every subset of size <= order. `reports` may be a generator:
         it is consumed only after `order` is checked."""
-        if order not in (1, 2, 3):
-            raise ValueError("order must be 1, 2, or 3")
+        _check_map_order(order)
         reports = list(reports)
         n = len(reports)
         subsets = [s for k in range(1, order + 1) for s in combinations(range(n), k)]
@@ -196,11 +248,15 @@ class CausalityMap:
         return cls(order=order, lag=reports[0].lag, subsets=subsets, values=values, self_flux=self_flux)
 
 
+def _check_map_order(order: int):
+    if order not in (1, 2, 3):
+        raise ValueError("order must be 1, 2, or 3")
+
+
 def causality_map(symbols: SymbolSeries, lag: int = 1, order: int = 1) -> CausalityMap:
     """Flux from every subset of size <= order to every target variable."""
-    n = symbols.n_variables
-    reports = (flux_report(FluxQuery(symbols, target=j, lag=lag, max_order=min(order, n)))
-               for j in range(n))
+    _check_map_order(order)  # before any joint is estimated
+    reports = flux_reports(symbols, lag, min(order, symbols.n_variables))
     return CausalityMap.from_reports(reports, order)
 
 

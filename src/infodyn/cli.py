@@ -113,13 +113,16 @@ def _write_report(out_dir: Path, payload: dict):
     (out_dir / "report.json").write_text(text)
 
 
-def _config_int(value, key: str) -> int:
-    """An integer config value. A bool, a string or a non-integral number is
-    refused: int() would read true as 1 and truncate 100.5 to 100."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def _config_int(value, key: str, minimum: int | None = None) -> int:
+    """An integer config value, at least `minimum` when one is given. A bool,
+    a string or a non-integral number is refused (systems._as_int)."""
+    try:
+        value = systems._as_int(value, key)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+    return value
 
 
 def _system_spec(cfg: dict, args) -> SystemSpec:
@@ -130,9 +133,9 @@ def _system_spec(cfg: dict, args) -> SystemSpec:
         return SystemSpec(
             kind=cfg["kind"],
             parameters=cfg.get("parameters", {}),
-            n_steps=_config_int(cfg.get("n_steps", 10000), "n_steps"),
-            transient_steps=_config_int(cfg.get("transient_steps", 1000), "transient_steps"),
-            seed=_config_int(cfg.get("seed", 0), "seed"),
+            n_steps=cfg.get("n_steps", 10000),
+            transient_steps=cfg.get("transient_steps", 1000),
+            seed=cfg.get("seed", 0),
             dt=float(cfg.get("dt", 1e-3)),
         )
     except (KeyError, ValueError, TypeError) as exc:
@@ -183,8 +186,7 @@ def cmd_causality(config: dict, args, out_dir: Path) -> int:
     symbols = discretize(signal, PartitionSpec(scheme=scheme, bins_per_variable=bins))
 
     # one full-order report per target gives the map and the identity check
-    reports = [causality.flux_report(causality.FluxQuery(symbols, target=j, lag=lag))
-               for j in range(signal.n_variables)]
+    reports = causality.flux_reports(symbols, lag)
     cmap = causality.CausalityMap.from_reports(reports, order)
     with (out_dir / "flux_map.csv").open("w") as fh:
         fh.write("subset," + ",".join(f"to_{n}" for n in signal.names) + "\n")
@@ -244,9 +246,10 @@ def cmd_fit(config: dict, args, out_dir: Path) -> int:
         if theta.shape != (2,):
             raise ConfigError(f"{family} needs {key} with exactly 2 entries, got {theta.tolist()}")
     bounds = config.get("bounds")
-    n_samples = _config_int(config.get("n_samples", 200000), "n_samples")
+    n_samples = _config_int(config.get("n_samples", 200000), "n_samples", minimum=2)
     seed = _config_int(args.seed if args.seed is not None else config.get("seed", 0), "seed")
-    bins = _config_int(args.bins if args.bins is not None else config.get("bins", 32), "bins")
+    bins = _config_int(args.bins if args.bins is not None else config.get("bins", 32), "bins",
+                       minimum=2)
     options = {"epsilon": 1e-9}
     options.update(config.get("options", {}))
 

@@ -11,7 +11,7 @@ import numpy as np
 from .pmf import JointPMF, _tally
 from .signals import SignalMatrix
 
-__all__ = ["PartitionSpec", "SymbolSeries", "discretize", "estimate_joint_pmf"]
+__all__ = ["PartitionSpec", "SymbolSeries", "OccupancyWarning", "discretize", "estimate_joint_pmf"]
 
 DEFAULT_BINS = 8
 
@@ -130,8 +130,26 @@ def discretize(signal: SignalMatrix, spec: PartitionSpec | None = None) -> Symbo
     return SymbolSeries(np.column_stack(cols), tuple(bins), spec)
 
 
+class OccupancyWarning(UserWarning):
+    """A joint PMF estimated with more occupied cells than 10% of its samples."""
+
+
+def _warn_if_sparse(occupied: int, n_samples: int, stacklevel: int):
+    """OccupancyWarning when `occupied` cells exceed 10% of `n_samples`
+    (over 100). `stacklevel` is that of warnings.warn as seen from the
+    function calling this one."""
+    if occupied > 0.1 * n_samples and n_samples > 100:
+        warnings.warn(
+            f"occupied cells ({occupied}) exceed 10% of sample count "
+            f"({n_samples}); PMF estimate may be unreliable",
+            OccupancyWarning,
+            stacklevel=stacklevel + 1,
+        )
+
+
 def estimate_joint_pmf(symbols: SymbolSeries, selection) -> JointPMF:
-    """Plug-in joint PMF over lagged symbol tuples.
+    """Plug-in joint PMF over lagged symbol tuples, keeping its integer
+    counts.
 
     `selection` is a list of (variable_index, time_lag) pairs; the joint is
     estimated from the tuples (codes[t + lag_1, v_1], ...) over all t for
@@ -155,12 +173,7 @@ def estimate_joint_pmf(symbols: SymbolSeries, selection) -> JointPMF:
         dims.append(symbols.alphabet[v])
         cols.append(symbols.codes[lag : lag + n_valid, v])
     indices, counts = _tally(cols, dims)
-    if len(counts) > 0.1 * n_valid and n_valid > 100:
-        warnings.warn(
-            f"occupied cells ({len(counts)}) exceed 10% of sample count "
-            f"({n_valid}); PMF estimate may be unreliable",
-            stacklevel=2,
-        )
+    _warn_if_sparse(len(counts), n_valid, stacklevel=2)
     edges = None
     if symbols.origin is not None and symbols.origin.scheme == "explicit-edges":
         edges = tuple(np.asarray(symbols.origin.edges[v], dtype=float) for v, _ in selection)

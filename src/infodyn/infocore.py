@@ -55,6 +55,16 @@ def entropy(pmf: JointPMF, over=None) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def _weights_entropy(weights) -> float:
+    """Entropy (bits) of the distribution proportional to positive `weights`
+    (counts or masses): log2 W - sum(w log2 w) / W with W their sum. A single
+    cell has entropy 0 exactly."""
+    if len(weights) == 1:
+        return 0.0
+    total = weights.sum()
+    return float(np.log2(total) - (weights * np.log2(weights)).sum() / total)
+
+
 def conditional_entropy(pmf: JointPMF, target, given) -> float:
     """H(target | given) = H(target, given) - H(given); empty given allowed."""
     target = _as_dims(target)

@@ -5,6 +5,8 @@ array because downstream subset enumeration builds joints of dimension
 M+1, where dense storage (bins**(M+1)) blows up quickly. Rows are counted
 by their int64 row-major cell code (`_tally`), so estimates and marginals
 take memory in proportion to the samples or support rows, not the cells.
+`_marginal_walk` derives a whole lattice of marginals from one such tally,
+each from its parent, without building a JointPMF per marginal.
 """
 
 from __future__ import annotations
@@ -28,12 +30,16 @@ class JointPMF:
     probs    -- (n_support,) probabilities, strictly positive, summing to 1
     edges    -- optional per-dimension bin edges (kept when the PMF came
                 from binning a real-valued signal; needed for rescaling)
+    counts   -- optional (n_support,) positive integer sample counts that
+                `probs` normalizes (kept by `from_counts`); marginal counts
+                are exact integer sums, whatever order they are summed in
     """
 
     dims: tuple[int, ...]
     indices: np.ndarray
     probs: np.ndarray
     edges: tuple[np.ndarray, ...] | None = field(default=None, compare=False)
+    counts: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         idx = np.atleast_2d(np.asarray(self.indices, dtype=np.int64))
@@ -50,6 +56,11 @@ class JointPMF:
             raise ValueError("stored masses must be strictly positive")
         if abs(p.sum() - 1.0) > 1e-9:
             raise ValueError(f"total mass {p.sum()} not 1")
+        if self.counts is not None:
+            c = np.asarray(self.counts)
+            if c.shape != p.shape or not np.issubdtype(c.dtype, np.integer) or np.any(c <= 0):
+                raise ValueError("counts must be one positive integer per support row")
+            object.__setattr__(self, "counts", c.astype(np.int64, copy=False))
         # exact-ish renormalization so the 1e-12 invariant holds downstream
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "probs", p / p.sum())
@@ -85,8 +96,10 @@ class JointPMF:
 
     @classmethod
     def from_counts(cls, indices, counts, dims, edges=None) -> "JointPMF":
-        counts = np.asarray(counts, dtype=float)
-        return cls(tuple(dims), indices, counts / counts.sum(), edges)
+        """PMF normalizing `counts`; integer counts are kept as `counts`."""
+        counts = np.asarray(counts)
+        kept = counts if np.issubdtype(counts.dtype, np.integer) else None
+        return cls(tuple(dims), indices, counts / counts.sum(), edges, kept)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.dims)
@@ -142,6 +155,50 @@ def _tally(columns, dims, weights=None):
         cells, inverse = np.unique(codes, return_inverse=True)
         totals = np.bincount(inverse, weights)
     return np.column_stack(np.unravel_index(cells, dims)), totals
+
+
+def _count_codes(codes, weights):
+    """Distinct cell codes in increasing order, each with the summed
+    `weights` of its rows. A stable sort keeps each cell's rows in input
+    order, so float sums are reproducible; integer sums are exact."""
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    return codes[first], np.add.reduceat(weights[order], first)
+
+
+def _code_tally(pmf: JointPMF):
+    """The PMF's support as (int64 cell codes, weights) with distinct codes in
+    increasing order: the integer counts when the PMF keeps them, else its
+    probabilities. `_marginal_walk` starts from it."""
+    weights = pmf.counts if pmf.counts is not None else pmf.probs
+    return _count_codes(_cell_codes(pmf.indices.T, pmf.dims), weights)
+
+
+def _marginal_walk(cells, weights, dims, removable, depth):
+    """Depth-first walk over the marginals of the tally (cells, weights) on
+    alphabets `dims` that sum out at most `depth` of the dimensions in
+    `removable`. Yields (removed, cells, weights) for each one, with
+    `removed` the bitmask of summed-out dimensions and `cells` the codes
+    with those digits set to 0: the tally of the kept columns, in
+    lexicographic order. A child is counted from its parent's occupied
+    cells by zeroing one digit; digits are removed in decreasing order, so
+    each subset is reached by one path, and at most depth + 1 tallies are
+    alive at a time."""
+    strides = [math.prod(dims[d + 1:]) for d in range(len(dims))]
+    removable = sorted(removable)
+
+    def walk(cells, weights, removed, below, depth):
+        yield removed, cells, weights
+        if depth > 0:
+            for d in removable:
+                if d >= below:
+                    break
+                s, b = strides[d], dims[d]
+                child = _count_codes(cells - cells // s % b * s, weights)
+                yield from walk(*child, removed | 1 << d, d, depth - 1)
+
+    yield from walk(cells, weights, 0, len(dims), depth)
 
 
 def condition(pmf: JointPMF, given) -> JointPMF:

@@ -31,6 +31,17 @@ __all__ = [
 BLOWUP_CHECK_EVERY = 100  # steps between finiteness checks of an integrated state
 
 
+def _as_int(value, name: str) -> int:
+    """`value` as an int. A bool, a string or a non-integral number is
+    refused, naming `name`: int() would read True as 1 and truncate 100.5
+    to 100."""
+    if isinstance(value, (bool, np.bool_)) or not (
+            isinstance(value, (int, np.integer))
+            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     kind: str
@@ -43,6 +54,8 @@ class SystemSpec:
     def __post_init__(self):
         if self.kind not in SYSTEM_KEYS:
             raise ValueError(f"unknown system kind {self.kind!r}")
+        for name in ("n_steps", "transient_steps", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if not self.n_steps > self.transient_steps >= 0:
             raise ValueError("need n_steps > transient_steps >= 0")
 
@@ -129,7 +142,9 @@ def _lorenz96_rhs(x, forcing, neighbours):
 
 
 def _lorenz96(spec: SystemSpec) -> SignalMatrix:
-    n_sites = int(spec.param("n_sites", 8))
+    n_sites = _as_int(spec.param("n_sites", 8), "lorenz96 n_sites")
+    if n_sites < 4:  # sites i-2, i-1, i and i+1 must be distinct
+        raise ValueError(f"lorenz96 n_sites {n_sites} is not >= 4")
     forcing = float(spec.param("forcing", 8.0))
     rng = np.random.default_rng(spec.seed)
     x0 = forcing * np.ones(n_sites) + 0.01 * rng.standard_normal(n_sites)
@@ -174,12 +189,18 @@ def _goy_model(spec: SystemSpec, **overrides):
     (defaults, then the spec's, then overrides) checked against their
     ranges, the RK4 step, the nonlinear term and the seeded initial state."""
     p = {**GOY_DEFAULTS, **spec.parameters, **overrides}
-    n = int(p["n_shells"])
+    for key in ("n_shells", "forced_shell", "sample_every"):
+        p[key] = _as_int(p[key], f"goy-shell {key}")
+    n = p["n_shells"]
+    if n < 2:  # the interaction weights of the two lowest shells are fixed
+        raise ValueError(f"goy-shell n_shells {n} is not >= 2")
     if not 0 <= p["forced_shell"] < n:
         raise ValueError(f"goy-shell forced_shell {p['forced_shell']} outside [0, n_shells={n})")
     if not p["sample_every"] >= 1:
         raise ValueError(f"goy-shell sample_every {p['sample_every']} is not >= 1")
-    cuts = p["cuts"] = np.asarray(p["cuts"], dtype=int)
+    # dtype=object keeps each cut's own type, so a bool or a float is seen
+    cuts = p["cuts"] = np.array([_as_int(c, "goy-shell cut")
+                                 for c in np.ravel(np.array(p["cuts"], dtype=object))], dtype=int)
     bad = cuts[(cuts < 0) | (cuts >= n)]
     if bad.size:
         raise ValueError(f"goy-shell cut {int(bad[0])} outside [0, n_shells={n})")
@@ -190,7 +211,7 @@ def _goy_model(spec: SystemSpec, **overrides):
     coeff = (p["eps"] * km1, (1.0 - p["eps"]) * km2)
     damp = p["nu"] * k**2
     f = np.zeros(n, dtype=complex)
-    f[int(p["forced_shell"])] = (1 + 1j) * p["f_amp"]
+    f[p["forced_shell"]] = (1 + 1j) * p["f_amp"]
     rhs = lambda v: _goy_nonlinear(v, k, coeff) - damp * v + f
     rng = np.random.default_rng(spec.seed)
     u0 = 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * k ** (-1 / 3)
@@ -207,7 +228,7 @@ def _goy_run(spec: SystemSpec) -> SignalMatrix:
         # term drains energy from the shells at and below the cut index
         return -np.cumsum(2.0 * np.real(np.conj(u) * nonlinear(u)))[cuts]
 
-    sample_every = int(p["sample_every"])
+    sample_every = p["sample_every"]
     rows, _ = _integrate(step, u0, spec, flux, sample_every)
     # exponential smoothing stands in for a volume average over the
     # observation region; alpha derived from the declared smoothing time
@@ -225,7 +246,7 @@ def goy_total_energy_drift(spec: SystemSpec) -> float:
     spec.check_parameters()
     p, step, _, u0 = _goy_model(spec, nu=0.0, f_amp=0.0)
     energy = lambda u: np.sum(np.abs(u) ** 2)
-    _, u = _integrate(step, u0, spec, energy, int(p["sample_every"]))
+    _, u = _integrate(step, u0, spec, energy, p["sample_every"])
     return abs(energy(u) - energy(u0)) / energy(u0)
 
 
@@ -246,6 +267,8 @@ class LinearPlant:
     """
 
     def __init__(self, a=0.9, noise_std=0.5, sensor_noise_std=0.1, max_delay=4.0, blowup=1e9):
+        if not max_delay >= 0:
+            raise ValueError(f"linear-plant max_delay {max_delay} is not >= 0")
         self.a = a
         self.noise_std = noise_std
         self.sensor_noise_std = sensor_noise_std

@@ -1,28 +1,50 @@
 import time
+import warnings
 from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from infodyn import infocore
 from infodyn.causality import (
     CausalityMap,
     FluxQuery,
+    _subset_entropies,
     causality_map,
     correlation_map,
     flux_report,
     flux_report_from_pmf,
+    flux_reports,
     information_flux,
     information_leak,
 )
-from infodyn.discretization import SymbolSeries
-from infodyn.pmf import JointPMF
+from infodyn.discretization import OccupancyWarning, SymbolSeries, estimate_joint_pmf
+from infodyn.pmf import JointPMF, _code_tally, _marginal_walk, _tally
 from infodyn.signals import SignalMatrix
 from infodyn.systems import symbolic_map_suite
 
 SUITE = symbolic_map_suite()
+
+
+def marginalize_flux_lattice(joint, variables, order):
+    """Oracle: the lattice as it was before the count walk. Each
+    H(target | C) comes from infocore.conditional_entropy, which marginalizes
+    the full joint afresh for every C; a Moebius transform over the subsets
+    (closed under removal) turns them into fluxes and leaves the leak."""
+    n = joint.ndim - 1
+    subsets = [s for k in range(order + 1) for s in combinations(variables, k)]
+    masks = [sum(1 << v for v in s) for s in subsets]
+    h = {m: infocore.conditional_entropy(joint, [0], [v + 1 for v in range(n) if not m >> v & 1])
+         for m in masks}
+    leak = h[0]
+    for v in variables:
+        bit = 1 << v
+        for m in h:
+            if m & bit:
+                h[m] -= h[m ^ bit]
+    return {s: h[m] for s, m in zip(subsets[1:], masks[1:])}, leak
 
 
 def inclusion_exclusion_flux(joint, subset):
@@ -49,6 +71,20 @@ def sparse_joints(draw):
     rows = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=20, unique=True))
     weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(rows), max_size=len(rows))))
     return JointPMF.from_mapping(dict(zip(rows, weights / weights.sum())), dims)
+
+
+@st.composite
+def symbol_series(draw, max_variables=4):
+    """Random short symbol series over 1..max_variables variables."""
+    alphabet = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=max_variables)))
+    n_samples = draw(st.integers(2, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SymbolSeries(rng.integers(0, alphabet, size=(n_samples, len(alphabet))), alphabet)
+
+
+def estimated_joint(symbols, target=0, lag=1):
+    selection = [(target, lag)] + [(v, 0) for v in range(symbols.n_variables)]
+    return estimate_joint_pmf(symbols, selection), selection
 
 
 def test_query_validation():
@@ -262,5 +298,105 @@ def test_lattice_cap_refuses_at_once():
     with pytest.raises(ValueError, match="exceeds cap"):
         flux_report_from_pmf(joint)
     assert time.perf_counter() - start < 1.0
+    symbols = SymbolSeries(np.zeros((10, 21), dtype=int), (2,) * 21)
     with pytest.raises(ValueError, match="exceeds cap"):
-        flux_report(FluxQuery(SymbolSeries(np.zeros((10, 21), dtype=int), (2,) * 21), target=0))
+        flux_report(FluxQuery(symbols, target=0))
+    with pytest.raises(ValueError, match="exceeds cap"):
+        flux_reports(symbols)
+
+
+# ---------------------------------------------------------------------------
+# the count walk against the marginalize lattice it replaced
+
+@settings(max_examples=60, deadline=None)
+@given(symbol_series(), st.integers(0, 2))
+def test_walk_counts_every_marginal_as_a_fresh_tally(symbols, lag):
+    assume(symbols.n_samples > lag)
+    joint, selection = estimated_joint(symbols, lag=lag)
+    n_valid = symbols.n_samples - lag
+    columns = [symbols.codes[lg:lg + n_valid, v] for v, lg in selection]
+    dims = joint.dims
+    seen = []
+    for removed, cells, counts in _marginal_walk(*_code_tally(joint), dims, range(len(dims)),
+                                                 len(dims)):
+        seen.append(removed)
+        assert counts.dtype == np.int64
+        kept = [d for d in range(len(dims)) if not removed >> d & 1]
+        if not kept:
+            assert cells.tolist() == [0] and counts.tolist() == [n_valid]
+            continue
+        indices, want = _tally([columns[d] for d in kept], [dims[d] for d in kept])
+        got = np.column_stack(np.unravel_index(cells, dims))[:, kept]
+        assert np.array_equal(got, indices)
+        assert np.array_equal(counts, want)
+    # each subset of dimensions once
+    assert sorted(seen) == list(range(2 ** len(dims)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_joints(), st.data())
+def test_walk_visits_each_subset_within_the_depth_once(joint, data):
+    removable = data.draw(st.lists(st.integers(0, joint.ndim - 1), unique=True))
+    depth = data.draw(st.integers(0, joint.ndim))
+    seen = [m for m, _, _ in _marginal_walk(*_code_tally(joint), joint.dims, removable, depth)]
+    want = [sum(1 << d for d in s) for k in range(depth + 1) for s in combinations(removable, k)]
+    assert sorted(seen) == sorted(want)
+
+
+def assert_matches_marginalize_oracle(joint, tol=1e-12):
+    n = joint.ndim - 1
+    rep = flux_report_from_pmf(joint)
+    fluxes, leak = marginalize_flux_lattice(joint, tuple(range(n)), n)
+    assert list(rep.fluxes) == list(fluxes)
+    for s, value in fluxes.items():
+        assert abs(rep.fluxes[s] - value) <= tol, s
+    assert abs(rep.leak - leak) <= tol
+    assert abs(rep.target_entropy - infocore.entropy(joint, [0])) <= tol
+
+
+def test_walk_matches_marginalize_oracle_on_fixtures():
+    for fx in SUITE.values():
+        assert_matches_marginalize_oracle(fx.exact_joint)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_joints())
+def test_walk_matches_marginalize_oracle_on_random_joints(joint):
+    assert_matches_marginalize_oracle(joint)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symbol_series(max_variables=5))
+def test_walk_matches_marginalize_oracle_on_estimated_joints(symbols):
+    joint, _ = estimated_joint(symbols)
+    assert joint.counts is not None
+    assert_matches_marginalize_oracle(joint)
+
+
+@settings(max_examples=40, deadline=None)
+@given(symbol_series(), st.integers(1, 2), st.data())
+def test_present_half_is_the_same_for_every_target(symbols, lag, data):
+    assume(symbols.n_samples > lag)
+    n = symbols.n_variables
+    order = data.draw(st.integers(1, n))
+    joints = [estimated_joint(symbols, j, lag)[0] for j in range(n)]
+    halves = [_subset_entropies(joint, range(n), order)[1] for joint in joints]
+    assert all(half == halves[0] for half in halves)  # bitwise: float ==
+    shared = flux_reports(symbols, lag, order)
+    for j, rep in enumerate(shared):
+        own = flux_report(FluxQuery(symbols, target=j, lag=lag, max_order=order))
+        assert (rep.target, rep.lag) == (own.target, own.lag)
+        assert rep.fluxes == own.fluxes
+        assert (rep.leak, rep.target_entropy) == (own.leak, own.target_entropy)
+
+
+def test_flux_reports_warn_once_for_the_fullest_joint():
+    rng = np.random.default_rng(8)
+    symbols = SymbolSeries(rng.integers(0, 6, size=(400, 3)), (6, 6, 6))
+    with pytest.warns(OccupancyWarning):  # once per joint when estimated one by one
+        occupied = max(estimated_joint(symbols, j)[0].support_count for j in range(3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        flux_reports(symbols)
+    assert [type(w.message) for w in caught] == [OccupancyWarning]
+    assert f"occupied cells ({occupied}) exceed 10% of sample count (399)" in str(caught[0].message)

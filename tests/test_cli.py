@@ -1,6 +1,7 @@
 import json
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from infodyn import cli, control, discretization, modeling
 from infodyn.cli import main
 from infodyn.discretization import PartitionSpec, discretize, estimate_joint_pmf
 from infodyn.modeling import ModelParams
-from infodyn.signals import SignalMatrix
+from infodyn.signals import SignalMatrix, read_csv, write_csv
 
 
 def run(tmp_path, command, config, out="run", extra=()):
@@ -75,6 +76,25 @@ def test_causality_identity_failure_exits_1(tmp_path, capsys, caplog):
     assert "leak fraction x:" in caplog.text and "leak fraction y:" in caplog.text
 
 
+def test_causality_warns_once_for_the_fullest_joint(tmp_path):
+    # 3 variables at 8 bins on 300 samples: every target's joint fills more
+    # than 10% of its cells; the run warns once, for the fullest joint
+    rng = np.random.default_rng(2)
+    path = tmp_path / "signal.csv"
+    write_csv(SignalMatrix(rng.standard_normal((300, 3)), ("a", "b", "c")), path)
+    symbols = discretize(read_csv(path), PartitionSpec(bins_per_variable=8))
+    with pytest.warns(discretization.OccupancyWarning):
+        occupied = max(estimate_joint_pmf(symbols, [(j, 1), (0, 0), (1, 0), (2, 0)]).support_count
+                       for j in range(3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(tmp_path, "causality", {"input": str(path), "bins": 8})
+    assert code == 0
+    assert [str(w.message) for w in caught] == [
+        f"occupied cells ({occupied}) exceed 10% of sample count (299); "
+        "PMF estimate may be unreliable"]
+
+
 def test_causality_from_csv_input(tmp_path):
     sim_code, sim_out = run(tmp_path, "simulate", {
         "system": {"kind": "coupled-logistic", "n_steps": 5000, "transient_steps": 500, "seed": 3},
@@ -121,6 +141,19 @@ def test_fit_refuses_theta_without_two_entries(tmp_path, capsys, key):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("bins", -2, "bins must be >= 2, got -2"),  # was "Number of samples, -1, must be non-negative"
+    ("n_samples", -5, "n_samples must be >= 2, got -5"),  # was "negative dimensions are not allowed"
+    ("n_samples", 1, "n_samples must be >= 2, got 1"),
+])
+def test_fit_refuses_out_of_range_sizes(tmp_path, capsys, key, value, message):
+    config = {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8], "n_samples": 1000, key: value}
+    code, _ = run(tmp_path, "fit", config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("system, message", [
     ({"kind": "goy-shell", "parameters": {"cuts": [50]}}, "cut 50 outside"),
     ({"kind": "goy-shell", "parameters": {"cuts": [-1, 6]}}, "cut -1 outside"),
@@ -131,6 +164,19 @@ def test_fit_refuses_theta_without_two_entries(tmp_path, capsys, key):
      "known parameters['name'], got 'nope'; known: ['markov_pair'"),
     ({"kind": "coupled-logistic", "n_steps": 100.5}, "n_steps must be an integer, got 100.5"),
     ({"kind": "coupled-logistic", "seed": True}, "seed must be an integer, got True"),
+    # one shell ran: the two-entry interaction weights broadcast it to two
+    ({"kind": "goy-shell", "parameters": {"n_shells": 1, "cuts": [0], "forced_shell": 0}},
+     "goy-shell n_shells 1 is not >= 2"),
+    ({"kind": "goy-shell", "parameters": {"n_shells": 19.5}},
+     "goy-shell n_shells must be an integer, got 19.5"),
+    ({"kind": "goy-shell", "parameters": {"forced_shell": 2.5}},
+     "goy-shell forced_shell must be an integer, got 2.5"),
+    ({"kind": "goy-shell", "parameters": {"cuts": [6.7, 8]}}, "goy-shell cut must be an integer, got 6.7"),
+    ({"kind": "goy-shell", "parameters": {"cuts": [True, 8]}}, "goy-shell cut must be an integer, got True"),
+    # NumPy's "negative dimensions are not allowed" was printed for these two
+    ({"kind": "lorenz96", "parameters": {"n_sites": -3}}, "lorenz96 n_sites -3 is not >= 4"),
+    ({"kind": "linear-plant", "parameters": {"max_delay": -3}},
+     "linear-plant max_delay -3.0 is not >= 0"),
 ])
 def test_simulate_refuses_bad_system_parameters(tmp_path, capsys, system, message):
     code, _ = run(tmp_path, "simulate", {"system": {"n_steps": 300, "transient_steps": 0,

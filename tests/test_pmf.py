@@ -53,6 +53,26 @@ def test_index_rows_outside_dims_rejected(mapping, dim):
 def test_from_counts_normalizes():
     pmf = JointPMF.from_counts(np.array([[0], [1]]), [3, 1], (2,))
     assert pmf.prob((0,)) == pytest.approx(0.75)
+    assert pmf.counts.tolist() == [3, 1] and pmf.counts.dtype == np.int64
+
+
+def test_from_counts_keeps_only_integer_counts():
+    pmf = JointPMF.from_counts(np.array([[0], [1]]), [1.5, 0.5], (2,))
+    assert pmf.counts is None and pmf.probs.tolist() == [0.75, 0.25]
+
+
+@pytest.mark.parametrize("counts", [[3], [3, 0], [3.0, 1.0], [-3, 1]])
+def test_counts_must_be_one_positive_integer_per_row(counts):
+    with pytest.raises(ValueError, match="counts must be one positive integer per support row"):
+        JointPMF((2,), np.array([[0], [1]]), [0.75, 0.25], counts=np.array(counts))
+
+
+def test_estimate_keeps_the_sample_counts():
+    symbols = SymbolSeries(np.array([[0, 1], [0, 1], [1, 0], [0, 1]]), (2, 2))
+    pmf = estimate_joint_pmf(symbols, [(0, 0), (1, 0)])
+    assert pmf.indices.tolist() == [[0, 1], [1, 0]]
+    assert pmf.counts.tolist() == [3, 1]
+    assert np.array_equal(pmf.probs, pmf.counts / 4)
 
 
 def test_marginalize_sums_out():

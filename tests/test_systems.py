@@ -28,6 +28,22 @@ def test_spec_validation():
         SystemSpec("lorenz96", n_steps=10, transient_steps=10)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_steps", 100.5), ("n_steps", True), ("n_steps", "100"),
+    ("transient_steps", 2.5), ("seed", 1.5), ("seed", np.True_),
+])
+def test_spec_refuses_non_integral_fields(field, value):
+    # 100.5 and 1.5 failed inside NumPy with a TypeError; True read as 1
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+        SystemSpec("lorenz96", **{"n_steps": 300, "transient_steps": 10, field: value})
+
+
+def test_spec_stores_integral_fields_as_int():
+    spec = SystemSpec("lorenz96", n_steps=np.int64(300), transient_steps=10.0, seed=np.uint8(3))
+    assert [type(v) for v in (spec.n_steps, spec.transient_steps, spec.seed)] == [int] * 3
+    assert (spec.n_steps, spec.transient_steps, spec.seed) == (300, 10, 3)
+
+
 def test_simulate_deterministic():
     spec = SystemSpec("coupled-logistic", n_steps=500, transient_steps=100, seed=11)
     a = simulate(spec)
@@ -177,6 +193,19 @@ def test_goy_signal_shape_and_names():
     assert sig.names == tuple(f"sigma{i + 1}" for i in range(len(GOY_DEFAULTS["cuts"])))
     assert sig.n_samples == 1000 // GOY_DEFAULTS["sample_every"]
     assert sig.dt == pytest.approx(2e-4 * GOY_DEFAULTS["sample_every"])
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"n_shells": 1, "cuts": [0], "forced_shell": 0}, "n_shells 1 is not >= 2"),
+    ({"n_shells": 19.5}, "n_shells must be an integer, got 19.5"),
+    ({"forced_shell": 2.5}, "forced_shell must be an integer, got 2.5"),
+    ({"sample_every": 2.5}, "sample_every must be an integer, got 2.5"),
+    ({"cuts": [6.7, 8]}, "cut must be an integer, got 6.7"),
+])
+def test_goy_refuses_non_integral_or_single_shell_parameters(params, message):
+    spec = SystemSpec("goy-shell", params, n_steps=200, transient_steps=0, dt=2e-4)
+    with pytest.raises(ValueError, match=f"goy-shell {message}"):
+        simulate(spec)
 
 
 @pytest.mark.parametrize("cuts, bad", [([50], "50"), ([-1, 6], "-1"), ([6, 19], "19")])

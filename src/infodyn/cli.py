@@ -177,12 +177,13 @@ def _load_signal(config: dict, args) -> SignalMatrix:
 
 
 def cmd_causality(config: dict, args, out_dir: Path) -> int:
-    signal = _load_signal(config, args)
     lag = _config_int(args.lag if args.lag is not None else config.get("lag", 1), "lag")
     order = _config_int(args.order if args.order is not None else config.get("order", 1), "order")
+    causality._check_map_order(order)  # before the signal is loaded or any joint built
     bins = _config_int(args.bins if args.bins is not None else config.get("bins", 8), "bins")
     scheme = config.get("scheme", "equiprobable-quantile")
     tol = float(config.get("identity_tolerance", 1e-10))
+    signal = _load_signal(config, args)
     symbols = discretize(signal, PartitionSpec(scheme=scheme, bins_per_variable=bins))
 
     # one full-order report per target gives the map and the identity check

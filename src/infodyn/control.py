@@ -55,19 +55,16 @@ CONTROLLER_DEFAULTS = {
 
 @dataclass(frozen=True)
 class ControllerParams:
-    """Controller parameters split into sensor (theta_s), passive actuator
-    (theta_pa), and active actuator (theta_aa) blocks, with per-block
-    bounds as (n, 2) arrays."""
+    """Controller parameters split into sensor (theta_s) and actuator
+    (theta_aa) blocks, with per-block bounds as (n, 2) arrays."""
 
     theta_s: np.ndarray = ()
-    theta_pa: np.ndarray = ()
     theta_aa: np.ndarray = ()
     bounds_s: np.ndarray | None = None
-    bounds_pa: np.ndarray | None = None
     bounds_aa: np.ndarray | None = None
 
     def __post_init__(self):
-        for block, bounds in (("theta_s", "bounds_s"), ("theta_pa", "bounds_pa"), ("theta_aa", "bounds_aa")):
+        for block, bounds in (("theta_s", "bounds_s"), ("theta_aa", "bounds_aa")):
             t = np.asarray(getattr(self, block), dtype=float).reshape(-1)
             b = getattr(self, bounds)
             if b is not None:
@@ -85,7 +82,7 @@ class ControllerParams:
         return replace(self, **kwargs)
 
     def packed(self) -> np.ndarray:
-        return np.concatenate([self.theta_s, self.theta_pa, self.theta_aa])
+        return np.concatenate([self.theta_s, self.theta_aa])
 
 
 @dataclass(frozen=True)
@@ -324,12 +321,12 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
     """Three-step iterative controller search.
 
     Per outer iteration: (1) holding theta_aa fixed, ascend the sensor
-    information I(J;S) over theta_s and the actuation information I(J;A)
-    over theta_pa; (2) holding those fixed, descend the KL objective over
-    theta_aa; (3) tighten the relaxation factors toward the floor. The
-    outer loop stops when the accepted KL stops decreasing. Plant failures
-    reject the iterate and contract the actuator bounds toward the last
-    good point. Returns (best ControllerParams, OptimizationTrace).
+    information I(J;S) over theta_s; (2) holding it fixed, descend the KL
+    objective over theta_aa; (3) tighten the relaxation factors toward the
+    floor. The outer loop stops when the accepted KL stops decreasing.
+    Plant failures reject the iterate and contract the actuator bounds
+    toward the last good point. Returns (best ControllerParams,
+    OptimizationTrace).
     """
     opts = {**CONTROLLER_DEFAULTS, **(options or {})}
     edges = opts["reference_edges"]
@@ -350,18 +347,13 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
         return rollout(plant, params, opts["n_steps"], opts["transient"], opts["seed"])
 
     for outer in range(opts["outer_iters"]):
-        # step 1: information ascent of the sensing block, I(J;S), and the
-        # passive block, I(J;A)
-        for block, pair in (("s", (0, 1)), ("pa", (0, 2))):
-            theta0 = getattr(current, "theta_" + block)
-            if theta0.size:
-                theta, _, _ = minimize(
-                    lambda t: _mi_objective(run(current.replace(**{"theta_" + block: t})),
-                                            opts["bins"], pair),
-                    theta0, bounds=getattr(current, "bounds_" + block), tol=opts["inner_tol"],
-                    max_iters=opts["inner_iters"], initial_step=opts["initial_step"], sign=-1.0,
-                    fd_step=opts["fd_step"])
-                current = current.replace(**{"theta_" + block: theta})
+        # step 1: information ascent of the sensing block, I(J;S)
+        theta_s, _, _ = minimize(
+            lambda t: _mi_objective(run(current.replace(theta_s=t)), opts["bins"], (0, 1)),
+            current.theta_s, bounds=current.bounds_s, tol=opts["inner_tol"],
+            max_iters=opts["inner_iters"], initial_step=opts["initial_step"], sign=-1.0,
+            fd_step=opts["fd_step"])
+        current = current.replace(theta_s=theta_s)
 
         # step 2: KL descent of the active actuation block
         failure = False

@@ -3,12 +3,13 @@ estimation from symbol co-occurrence counts."""
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .pmf import JointPMF, _tally
+from .pmf import JointPMF, _cell_codes, _count_codes
 from .signals import SignalMatrix
 
 __all__ = ["PartitionSpec", "SymbolSeries", "OccupancyWarning", "discretize", "estimate_joint_pmf"]
@@ -62,13 +63,13 @@ class PartitionSpec:
         return [int(x) for x in b]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolSeries:
-    """Integer symbol codes, one column per variable."""
+    """Integer symbol codes, one column per variable; compared by identity."""
 
     codes: np.ndarray
     alphabet: tuple[int, ...]
-    origin: PartitionSpec | None = field(default=None, compare=False)
+    origin: PartitionSpec | None = None
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.codes, dtype=np.int64))
@@ -172,9 +173,10 @@ def estimate_joint_pmf(symbols: SymbolSeries, selection) -> JointPMF:
             raise ValueError(f"invalid variable index {v}")
         dims.append(symbols.alphabet[v])
         cols.append(symbols.codes[lag : lag + n_valid, v])
-    indices, counts = _tally(cols, dims)
+    cells, counts = _count_codes(_cell_codes(cols, dims), n_cells=math.prod(dims))
     _warn_if_sparse(len(counts), n_valid, stacklevel=2)
     edges = None
     if symbols.origin is not None and symbols.origin.scheme == "explicit-edges":
         edges = tuple(np.asarray(symbols.origin.edges[v], dtype=float) for v, _ in selection)
-    return JointPMF.from_counts(indices, counts, dims, edges)
+    return JointPMF.from_counts(np.column_stack(np.unravel_index(cells, dims)), counts, dims,
+                                edges)

@@ -47,22 +47,16 @@ def _check_disjoint(*sets):
 
 def entropy(pmf: JointPMF, over=None) -> float:
     """Shannon entropy H (bits) of the marginal on `over` (default: all)."""
-    if over is None:
-        p = pmf.probs
-    else:
-        dims = _as_dims(over)
-        p = marginalize(pmf, dims).probs
-    return float(-(p * np.log2(p)).sum())
+    p = pmf.probs if over is None else marginalize(pmf, _as_dims(over)).probs
+    return _weights_entropy(p)
 
 
 def _weights_entropy(weights) -> float:
     """Entropy (bits) of the distribution proportional to positive `weights`
-    (counts or masses): log2 W - sum(w log2 w) / W with W their sum. A single
-    cell has entropy 0 exactly."""
-    if len(weights) == 1:
-        return 0.0
-    total = weights.sum()
-    return float(np.log2(total) - (weights * np.log2(weights)).sum() / total)
+    (counts or masses): -sum(p log2 p) with p = weights / sum(weights). A
+    single cell has entropy +0.0 (0.0 - 0.0, where negating would give -0.0)."""
+    p = weights / weights.sum()
+    return float(0.0 - (p * np.log2(p)).sum())
 
 
 def conditional_entropy(pmf: JointPMF, target, given) -> float:
@@ -117,12 +111,10 @@ def kl_divergence(p: JointPMF, q: JointPMF, epsilon: float | None = None) -> flo
     """
     if p.dims != q.dims:
         raise ValueError(f"dimension mismatch: {p.dims} vs {q.dims}")
-    # q's mass on each of p's cells, matched by cell code; q's rows need not
-    # be sorted
+    # q's mass on each of p's cells, matched by cell code (q's codes increase)
     p_codes = _cell_codes(p.indices.T, p.dims)
     q_codes = _cell_codes(q.indices.T, q.dims)
-    order = np.argsort(q_codes)
-    hit = order[np.searchsorted(q_codes, p_codes, sorter=order).clip(max=len(order) - 1)]
+    hit = np.searchsorted(q_codes, p_codes).clip(max=len(q_codes) - 1)
     qs = np.where(q_codes[hit] == p_codes, q.probs[hit], 0.0)
     missing = qs == 0
     if missing.any():

@@ -3,8 +3,10 @@
 A PMF is stored as (support indices, probabilities) rather than a dense
 array because downstream subset enumeration builds joints of dimension
 M+1, where dense storage (bins**(M+1)) blows up quickly. Rows are counted
-by their int64 row-major cell code (`_tally`), so estimates and marginals
-take memory in proportion to the samples or support rows, not the cells.
+by their int64 row-major cell code (`_count_codes`), so estimates and
+marginals take memory in proportion to the samples or support rows, not the
+cells. The constructor is the one place a support is tallied: every
+JointPMF holds distinct rows in lexicographic order, duplicate rows summed.
 `_marginal_walk` derives a whole lattice of marginals from one such tally,
 each from its parent, without building a JointPMF per marginal.
 """
@@ -12,34 +14,37 @@ each from its parent, without building a JointPMF per marginal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["JointPMF", "marginalize", "condition"]
 
-MASS_TOL = 1e-12
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointPMF:
     """Joint PMF over a tuple of discrete variables.
 
-    dims     -- alphabet size per dimension
-    indices  -- (n_support, ndim) integer symbol tuples with nonzero mass
+    dims     -- alphabet size per dimension, stored as a tuple of ints
+    indices  -- (n_support, ndim) integer symbol tuples with nonzero mass;
+                stored distinct and in lexicographic order, the masses (and
+                counts) of rows given more than once summed
     probs    -- (n_support,) probabilities, strictly positive, summing to 1
     edges    -- optional per-dimension bin edges (kept when the PMF came
                 from binning a real-valued signal; needed for rescaling)
     counts   -- optional (n_support,) positive integer sample counts that
                 `probs` normalizes (kept by `from_counts`); marginal counts
                 are exact integer sums, whatever order they are summed in
+
+    Two PMFs are equal when their dims, support rows and probabilities are;
+    edges and counts are not compared.
     """
 
     dims: tuple[int, ...]
     indices: np.ndarray
     probs: np.ndarray
-    edges: tuple[np.ndarray, ...] | None = field(default=None, compare=False)
-    counts: np.ndarray | None = field(default=None, compare=False)
+    edges: tuple[np.ndarray, ...] | None = None
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
         idx = np.atleast_2d(np.asarray(self.indices, dtype=np.int64))
@@ -60,10 +65,21 @@ class JointPMF:
             c = np.asarray(self.counts)
             if c.shape != p.shape or not np.issubdtype(c.dtype, np.integer) or np.any(c <= 0):
                 raise ValueError("counts must be one positive integer per support row")
-            object.__setattr__(self, "counts", c.astype(np.int64, copy=False))
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        codes = _cell_codes(idx.T, self.dims)
+        n_cells = math.prod(self.dims)
+        cells, p = _count_codes(codes, p, n_cells)
+        if self.counts is not None:
+            object.__setattr__(self, "counts", _count_codes(codes, c, n_cells)[1])
+        object.__setattr__(self, "indices", np.column_stack(np.unravel_index(cells, self.dims)))
         # exact-ish renormalization so the 1e-12 invariant holds downstream
-        object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "probs", p / p.sum())
+
+    def __eq__(self, other):
+        if not isinstance(other, JointPMF):
+            return NotImplemented
+        return (self.dims == other.dims and np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.probs, other.probs))
 
     @property
     def ndim(self) -> int:
@@ -80,11 +96,10 @@ class JointPMF:
 
     @classmethod
     def from_mapping(cls, mapping, dims, edges=None) -> "JointPMF":
-        items = sorted(mapping.items())
-        idx = np.array([k for k, _ in items], dtype=np.int64)
+        idx = np.array(list(mapping), dtype=np.int64)
         if idx.ndim == 1:
             idx = idx[:, None]
-        p = np.array([v for _, v in items], dtype=float)
+        p = np.array(list(mapping.values()), dtype=float)
         keep = p > 0
         return cls(tuple(dims), idx[keep], p[keep], edges)
 
@@ -123,12 +138,10 @@ def marginalize(pmf: JointPMF, keep) -> JointPMF:
     for k in keep:
         if not 0 <= k < pmf.ndim:
             raise ValueError(f"invalid dimension index {k}")
-    dims = tuple(pmf.dims[k] for k in keep)
-    indices, p = _tally(pmf.indices[:, keep].T, dims, pmf.probs)
     edges = None
     if pmf.edges is not None:
         edges = tuple(pmf.edges[k] for k in keep)
-    return JointPMF(dims, indices, p, edges)
+    return JointPMF(tuple(pmf.dims[k] for k in keep), pmf.indices[:, keep], pmf.probs, edges)
 
 
 def _cell_codes(columns, dims) -> np.ndarray:
@@ -141,38 +154,34 @@ def _cell_codes(columns, dims) -> np.ndarray:
     return np.ravel_multi_index(tuple(columns), dims)
 
 
-def _tally(columns, dims, weights=None):
-    """Occupied cells of the tuples zip(*columns) over alphabets `dims`, in
-    lexicographic order, with their counts or summed weights. Counts densely
-    when there are no more cells than rows, else by sorting the codes, so
-    memory follows the rows."""
-    codes = _cell_codes(columns, dims)
-    if math.prod(dims) <= len(codes):
+def _count_codes(codes, weights=None, n_cells=None):
+    """Distinct cell codes in increasing order, each with the summed
+    `weights` of its rows (its row count when `weights` is None). Counts
+    densely when there are no more cells (`n_cells`) than rows, else by a
+    stable sort of the codes, so memory follows the rows. Either way each
+    cell's weights are summed one by one in input order, so float totals
+    are reproducible; integer or absent weights give exact int64 totals."""
+    if n_cells is not None and n_cells <= len(codes):
         totals = np.bincount(codes, weights)
         cells = np.flatnonzero(totals)
         totals = totals[cells]
     else:
-        cells, inverse = np.unique(codes, return_inverse=True)
-        totals = np.bincount(inverse, weights)
-    return np.column_stack(np.unravel_index(cells, dims)), totals
-
-
-def _count_codes(codes, weights):
-    """Distinct cell codes in increasing order, each with the summed
-    `weights` of its rows. A stable sort keeps each cell's rows in input
-    order, so float sums are reproducible; integer sums are exact."""
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-    return codes[first], np.add.reduceat(weights[order], first)
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        first = np.concatenate(([True], codes[1:] != codes[:-1]))
+        cells = codes[first]
+        totals = np.bincount(np.cumsum(first) - 1, None if weights is None else weights[order])
+    if weights is None or np.issubdtype(weights.dtype, np.integer):
+        totals = totals.astype(np.int64)
+    return cells, totals
 
 
 def _code_tally(pmf: JointPMF):
-    """The PMF's support as (int64 cell codes, weights) with distinct codes in
-    increasing order: the integer counts when the PMF keeps them, else its
+    """The PMF's support as (int64 cell codes, weights), its codes distinct
+    and increasing: the integer counts when the PMF keeps them, else its
     probabilities. `_marginal_walk` starts from it."""
     weights = pmf.counts if pmf.counts is not None else pmf.probs
-    return _count_codes(_cell_codes(pmf.indices.T, pmf.dims), weights)
+    return _cell_codes(pmf.indices.T, pmf.dims), weights
 
 
 def _marginal_walk(cells, weights, dims, removable, depth):

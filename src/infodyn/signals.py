@@ -16,9 +16,10 @@ import numpy as np
 __all__ = ["SignalMatrix", "read_csv", "write_csv", "read_raw", "write_raw"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalMatrix:
-    """Real-valued time series: rows are time samples, columns variables."""
+    """Real-valued time series: rows are time samples, columns variables;
+    compared by identity."""
 
     values: np.ndarray
     names: tuple[str, ...]

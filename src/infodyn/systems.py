@@ -378,10 +378,8 @@ def simulate(spec: SystemSpec) -> SignalMatrix:
     return SignalMatrix(symbols.codes.astype(float), suite[name].names, spec.dt)
 
 
-def simulate_controlled(spec: SystemSpec, controller, law: str = "proportional-opposition") -> SignalMatrix:
+def simulate_controlled(spec: SystemSpec, controller) -> SignalMatrix:
     """Actuated trajectory under A = -beta * S, recording (x, S, A, J)."""
-    if law != "proportional-opposition":
-        raise ValueError(f"unknown control law {law!r}")
     if spec.kind != "linear-plant":
         raise ValueError("controlled simulation supports the linear-plant kind")
     spec.check_parameters()

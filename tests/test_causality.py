@@ -21,9 +21,10 @@ from infodyn.causality import (
     information_leak,
 )
 from infodyn.discretization import OccupancyWarning, SymbolSeries, estimate_joint_pmf
-from infodyn.pmf import JointPMF, _code_tally, _marginal_walk, _tally
+from infodyn.pmf import JointPMF, _code_tally, _marginal_walk
 from infodyn.signals import SignalMatrix
 from infodyn.systems import symbolic_map_suite
+from test_pmf import unique_tally
 
 SUITE = symbolic_map_suite()
 
@@ -325,7 +326,7 @@ def test_walk_counts_every_marginal_as_a_fresh_tally(symbols, lag):
         if not kept:
             assert cells.tolist() == [0] and counts.tolist() == [n_valid]
             continue
-        indices, want = _tally([columns[d] for d in kept], [dims[d] for d in kept])
+        indices, want = unique_tally([columns[d] for d in kept], [dims[d] for d in kept])
         got = np.column_stack(np.unravel_index(cells, dims))[:, kept]
         assert np.array_equal(got, indices)
         assert np.array_equal(counts, want)

@@ -95,6 +95,20 @@ def test_causality_warns_once_for_the_fullest_joint(tmp_path):
         "PMF estimate may be unreliable"]
 
 
+def test_causality_refuses_order_before_any_joint(tmp_path, capsys):
+    # the input of the occupancy-warning test above: a run that estimated
+    # its joints would warn before reaching the order check
+    path = tmp_path / "signal.csv"
+    write_csv(SignalMatrix(np.random.default_rng(2).standard_normal((300, 3)), ("a", "b", "c")),
+              path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(tmp_path, "causality", {"input": str(path), "bins": 8, "order": 4})
+    assert code == 2
+    assert capsys.readouterr().err == "error: order must be 1, 2, or 3\n"
+    assert not [w for w in caught if issubclass(w.category, discretization.OccupancyWarning)]
+
+
 def test_causality_from_csv_input(tmp_path):
     sim_code, sim_out = run(tmp_path, "simulate", {
         "system": {"kind": "coupled-logistic", "n_steps": 5000, "transient_steps": 500, "seed": 3},

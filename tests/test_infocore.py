@@ -23,7 +23,15 @@ def test_entropy_uniform():
 
 def test_entropy_deterministic_is_zero():
     pmf = JointPMF.from_mapping({(2,): 1.0}, (4,))
-    assert infocore.entropy(pmf) == 0.0
+    assert math.copysign(1.0, infocore.entropy(pmf)) == 1.0 and infocore.entropy(pmf) == 0.0
+
+
+def test_duplicate_rows_are_one_cell():
+    p = JointPMF((2,), [[0], [0]], [0.5, 0.5])
+    q = JointPMF.from_dense(np.full(2, 0.5))
+    assert infocore.entropy(p) == infocore.entropy(p, [0]) == 0.0
+    assert infocore.kl_divergence(p, q) == 1.0
+    assert p.to_dense().sum() == 1.0
 
 
 def test_entropy_marginal_matches_numpy():
@@ -128,9 +136,9 @@ def test_kl_nonnegative_random_pairs():
 
 
 def test_kl_divergence_refuses_joints_wider_than_int64_codes():
-    p = JointPMF((8,) * 22, np.zeros((1, 22), dtype=np.int64), np.ones(1))
+    # such a joint is refused at construction, so no KL can be asked of it
     with pytest.raises(ValueError, match=r"2\*\*63-1"):
-        infocore.kl_divergence(p, p)
+        JointPMF((8,) * 22, np.zeros((1, 22), dtype=np.int64), np.ones(1))
 
 
 def test_cross_entropy_identity():

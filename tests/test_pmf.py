@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from infodyn import infocore
 from infodyn.discretization import SymbolSeries, estimate_joint_pmf
-from infodyn.pmf import JointPMF, condition, marginalize
+from infodyn.pmf import JointPMF, _cell_codes, _count_codes, condition, marginalize
+from infodyn.signals import SignalMatrix
 
 
 def test_from_mapping_and_mass_roundtrip():
@@ -24,6 +25,27 @@ def test_from_dense_roundtrip():
     pmf = JointPMF.from_dense(dense)
     assert np.allclose(pmf.to_dense(), dense)
     assert pmf.support_count == 3
+
+
+def test_rows_are_stored_distinct_and_sorted():
+    pmf = JointPMF((2, 3), [[1, 0], [0, 2], [1, 0], [0, 1]], [0.1, 0.2, 0.3, 0.4],
+                   counts=np.array([1, 2, 3, 4]))
+    assert pmf.indices.tolist() == [[0, 1], [0, 2], [1, 0]]
+    assert pmf.probs.tolist() == [0.4, 0.2, 0.1 + 0.3]
+    assert pmf.counts.tolist() == [4, 2, 4] and pmf.counts.dtype == np.int64
+
+
+def test_equality_compares_values_and_never_raises():
+    mass = {(0, 1): 0.25, (1, 0): 0.5, (1, 1): 0.25}
+    pmf = JointPMF.from_mapping(mass, (2, 2))
+    assert pmf == JointPMF.from_mapping(dict(reversed(list(mass.items()))), (2, 2))
+    assert pmf != JointPMF.from_mapping({(0, 1): 0.5, (1, 0): 0.25, (1, 1): 0.25}, (2, 2))
+    assert pmf != JointPMF.from_mapping(mass, (2, 3))
+    assert pmf == JointPMF(np.array([2, 2]), list(mass), list(mass.values()))
+    values = np.arange(6.0).reshape(3, 2)
+    series = SymbolSeries(np.zeros((3, 2), dtype=int), (2, 2))
+    assert SignalMatrix(values, ("a", "b")) != SignalMatrix(values, ("a", "b"))
+    assert series == series and series != SymbolSeries(series.codes, (2, 2))
 
 
 def test_zero_mass_cells_dropped():
@@ -130,6 +152,42 @@ def test_edges_carried_through_marginalize():
 
 # ---------------------------------------------------------------------------
 # cell tallies against the implementations they replaced
+
+def unique_tally(columns, dims, weights=None):
+    """Oracle: occupied cells of the tuples zip(*columns) in lexicographic
+    order with their counts or summed weights, by a dense bincount when
+    there are no more cells than rows, else by np.unique + bincount."""
+    codes = np.ravel_multi_index(tuple(columns), dims)
+    if math.prod(dims) <= len(codes):
+        totals = np.bincount(codes, weights)
+        cells = np.flatnonzero(totals)
+        totals = totals[cells]
+    else:
+        cells, inverse = np.unique(codes, return_inverse=True)
+        totals = np.bincount(inverse, weights)
+    return np.column_stack(np.unravel_index(cells, dims)), totals
+
+
+@pytest.mark.parametrize("weighting", [None, "int", "float"])
+@pytest.mark.parametrize("dense", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_count_codes_matches_unique_tally(dense, weighting, data):
+    dims = tuple(data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)))
+    n_rows = data.draw(st.integers(1, 200))
+    # the dense count when told the number of cells and it fits, else the sort
+    assume(math.prod(dims) <= n_rows or not dense)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    columns = rng.integers(0, dims, size=(n_rows, len(dims))).T
+    weights = {None: None, "int": rng.integers(1, 1000, n_rows),
+               "float": rng.random(n_rows)}[weighting]
+    cells, totals = _count_codes(_cell_codes(columns, dims), weights,
+                                 math.prod(dims) if dense else None)
+    indices, want = unique_tally(columns, dims, weights)
+    assert np.array_equal(np.column_stack(np.unravel_index(cells, dims)), indices)
+    assert totals.dtype == (np.float64 if weighting == "float" else np.int64)
+    assert np.array_equal(totals, want)
+
 
 def unique_marginalize(pmf, keep):
     """Oracle: marginal by a row-wise np.unique over the kept columns."""

@@ -37,7 +37,6 @@ from .infocore import (
     entropy,
     kl_divergence,
     mutual_information,
-    rescale_pmf,
 )
 from .modeling import (
     ModelAssessment,
@@ -55,7 +54,6 @@ from .systems import (
     NumericalBlowup,
     SystemSpec,
     simulate,
-    simulate_controlled,
     symbolic_map_suite,
 )
 

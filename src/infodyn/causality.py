@@ -18,7 +18,7 @@ import numpy as np
 
 from .discretization import OccupancyWarning, SymbolSeries, _warn_if_sparse, estimate_joint_pmf
 from .infocore import _weights_entropy
-from .pmf import JointPMF, _code_tally, _count_codes, _marginal_walk
+from .pmf import JointPMF, _count_codes, _marginal_walk
 from .signals import SignalMatrix
 
 __all__ = [
@@ -100,7 +100,7 @@ def _subset_entropies(joint: JointPMF, variables, order: int, present=None):
     when the joint keeps them. The {A: H(C)} half is then the same, bit for
     bit, for every target of one SymbolSeries (the same rows, counted
     exactly), so a caller holding it passes it as `present`."""
-    tally = cells, weights = _code_tally(joint)
+    tally = cells, weights = joint.codes, (joint.probs if joint.counts is None else joint.counts)
     removable = [v + 1 for v in variables]
     target_stride = math.prod(joint.dims[1:])  # cells % stride zeroes the target digit
     if present is None:

@@ -253,6 +253,9 @@ def cmd_fit(config: dict, args, out_dir: Path) -> int:
                        minimum=2)
     options = {"epsilon": 1e-9}
     options.update(config.get("options", {}))
+    fit_options = dict(options)  # the report keeps the options as given
+    if "max_iters" in options:
+        fit_options["max_iters"] = _config_int(options["max_iters"], "options.max_iters", minimum=1)
 
     # One noise draw serves the reference and every evaluation (common random
     # numbers). The objective is a lag-0 histogram, blind to sample order, so
@@ -261,7 +264,8 @@ def cmd_fit(config: dict, args, out_dir: Path) -> int:
     g = np.sort(np.random.default_rng(seed).standard_normal(n_samples))
     reference, spec = _reference_pmf(true_theta, g, bins)
     simulate = lambda p: _affine_noise_signal(p.theta, g)
-    fitted, trace = modeling.kl_fit(simulate, reference, spec, ModelParams(init_theta, bounds), options)
+    fitted, trace = modeling.kl_fit(simulate, reference, spec, ModelParams(init_theta, bounds),
+                                    fit_options)
     trace.write_csv(out_dir / "trace.csv")
 
     report = {
@@ -367,7 +371,7 @@ def cmd_fixtures(config: dict, args, out_dir: Path) -> int:
         if name not in suite:
             raise ConfigError(f"unknown fixture {name!r}; known: {sorted(suite)}")
         fx = suite[name]
-        n = _config_int(config.get("n_samples", 1000), "n_samples")
+        n = _config_int(config.get("n_samples", 1000), "n_samples", minimum=2)
         seed = _config_int(args.seed if args.seed is not None else config.get("seed", 0), "seed")
         series = fx.sample(n, seed)
         write_csv(SignalMatrix(series.codes.astype(float), fx.names), out_dir / "samples.csv")

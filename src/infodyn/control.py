@@ -272,9 +272,9 @@ def build_auxiliary_target(samples: SignalMatrix, target: ControlTarget, relax=N
 
 def rollout(plant, params: ControllerParams, n_steps: int, transient: int, seed: int) -> SignalMatrix:
     """Closed-loop trajectory under the proportional-opposition law
-    A = -theta_aa[0] * S, recorded as columns (J, S, A) with J the state x.
-    The plant must provide closed_loop (see LinearPlant.closed_loop); its
-    per-step state (reset/sense/step) is not advanced."""
+    A = -theta_aa[0] * S, recorded as columns (J, S, A) with J the state x:
+    the plant's closed_loop (see LinearPlant.closed_loop) at sensing delay
+    theta_s[0], steps transient..n_steps-1, noise seeded by `seed`."""
     gain = float(params.theta_aa[0]) if params.theta_aa.size else 0.0
     rows = plant.closed_loop(gain, params.theta_s[0], n_steps, transient, seed)
     return SignalMatrix(rows, ("J", "S", "A"))

@@ -3,13 +3,12 @@ estimation from symbol co-occurrence counts."""
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pmf import JointPMF, _cell_codes, _count_codes
+from .pmf import JointPMF, _cell_codes
 from .signals import SignalMatrix
 
 __all__ = ["PartitionSpec", "SymbolSeries", "OccupancyWarning", "discretize", "estimate_joint_pmf"]
@@ -69,7 +68,6 @@ class SymbolSeries:
 
     codes: np.ndarray
     alphabet: tuple[int, ...]
-    origin: PartitionSpec | None = None
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.codes, dtype=np.int64))
@@ -128,7 +126,7 @@ def discretize(signal: SignalMatrix, spec: PartitionSpec | None = None) -> Symbo
                 cols.append(_edge_codes(x, edges))
         else:
             cols.append(_edge_codes(x, np.asarray(spec.edges[v], dtype=float)))
-    return SymbolSeries(np.column_stack(cols), tuple(bins), spec)
+    return SymbolSeries(np.column_stack(cols), tuple(bins))
 
 
 class OccupancyWarning(UserWarning):
@@ -154,8 +152,7 @@ def estimate_joint_pmf(symbols: SymbolSeries, selection) -> JointPMF:
 
     `selection` is a list of (variable_index, time_lag) pairs; the joint is
     estimated from the tuples (codes[t + lag_1, v_1], ...) over all t for
-    which every lagged index is valid. Symbols from an explicit-edges
-    partition give a PMF that carries the selected variables' edges.
+    which every lagged index is valid.
     """
     selection = list(selection)
     if not selection:
@@ -173,10 +170,6 @@ def estimate_joint_pmf(symbols: SymbolSeries, selection) -> JointPMF:
             raise ValueError(f"invalid variable index {v}")
         dims.append(symbols.alphabet[v])
         cols.append(symbols.codes[lag : lag + n_valid, v])
-    cells, counts = _count_codes(_cell_codes(cols, dims), n_cells=math.prod(dims))
-    _warn_if_sparse(len(counts), n_valid, stacklevel=2)
-    edges = None
-    if symbols.origin is not None and symbols.origin.scheme == "explicit-edges":
-        edges = tuple(np.asarray(symbols.origin.edges[v], dtype=float) for v, _ in selection)
-    return JointPMF.from_counts(np.column_stack(np.unravel_index(cells, dims)), counts, dims,
-                                edges)
+    pmf = JointPMF._from_codes(dims, _cell_codes(cols, dims))
+    _warn_if_sparse(pmf.support_count, n_valid, stacklevel=2)
+    return pmf

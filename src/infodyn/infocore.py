@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .discretization import PartitionSpec, discretize, estimate_joint_pmf
-from .pmf import JointPMF, _cell_codes, marginalize
+from .pmf import JointPMF, marginalize
 from .signals import SignalMatrix
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "kl_divergence",
     "cross_entropy",
     "binned_pmf",
-    "rescale_pmf",
 ]
 
 
@@ -112,10 +111,8 @@ def kl_divergence(p: JointPMF, q: JointPMF, epsilon: float | None = None) -> flo
     if p.dims != q.dims:
         raise ValueError(f"dimension mismatch: {p.dims} vs {q.dims}")
     # q's mass on each of p's cells, matched by cell code (q's codes increase)
-    p_codes = _cell_codes(p.indices.T, p.dims)
-    q_codes = _cell_codes(q.indices.T, q.dims)
-    hit = np.searchsorted(q_codes, p_codes).clip(max=len(q_codes) - 1)
-    qs = np.where(q_codes[hit] == p_codes, q.probs[hit], 0.0)
+    hit = np.searchsorted(q.codes, p.codes).clip(max=q.support_count - 1)
+    qs = np.where(q.codes[hit] == p.codes, q.probs[hit], 0.0)
     missing = qs == 0
     if missing.any():
         if epsilon is None:
@@ -137,41 +134,9 @@ def cross_entropy(p: JointPMF, q: JointPMF, epsilon: float | None = None) -> flo
 
 
 def binned_pmf(x: np.ndarray, edges: np.ndarray) -> JointPMF:
-    """Histogram PMF of a real sample on explicit edges, carrying the edges.
+    """Histogram PMF of a real sample on explicit edges.
 
     Out-of-range samples are clipped into the end bins so mass totals 1.
     """
     spec = PartitionSpec("explicit-edges", edges=(np.asarray(edges, dtype=float),))
     return estimate_joint_pmf(discretize(SignalMatrix(x, ("x",)), spec), [(0, 0)])
-
-
-def rescale_pmf(pmf: JointPMF, gamma: float, reference_edges=None) -> JointPMF:
-    """PMF of the scaled variable gamma * X on a reference partition.
-
-    The source bin edges are relabeled e -> gamma * e and the mass of each
-    scaled cell is spread over the reference cells in proportion to overlap
-    length; mass beyond the reference range is clipped into the end bins.
-    Requires a single-variable PMF carrying its edge metadata.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if pmf.ndim != 1:
-        raise ValueError("rescale_pmf needs a single-variable PMF")
-    if pmf.edges is None:
-        raise ValueError("PMF carries no bin-edge metadata")
-    src = np.asarray(pmf.edges[0], dtype=float)
-    ref = src if reference_edges is None else np.asarray(reference_edges, dtype=float)
-    n_ref = len(ref) - 1
-    out = np.zeros(n_ref)
-    for (k,), mass in zip(pmf.indices, pmf.probs):
-        lo, hi = gamma * src[k], gamma * src[k + 1]
-        # clip into range, then distribute by overlap fraction
-        span = hi - lo
-        lo_c, hi_c = np.clip([lo, hi], ref[0], ref[-1])
-        out[0] += mass * max(0.0, (min(hi, ref[0]) - lo)) / span
-        out[-1] += mass * max(0.0, (hi - max(lo, ref[-1]))) / span
-        if hi_c > lo_c:
-            left = np.clip(ref[:-1], lo_c, hi_c)
-            right = np.clip(ref[1:], lo_c, hi_c)
-            out += mass * (right - left) / span
-    return JointPMF.from_dense(out, (ref,))

@@ -10,15 +10,14 @@ inequality), and the L1 distance between their distributions (Pinsker).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import infocore
-from .descent import OptimizationTrace, minimize
+from .descent import minimize
 from .discretization import PartitionSpec, SymbolSeries, discretize, estimate_joint_pmf
 from .pmf import JointPMF
-from .signals import SignalMatrix
 
 __all__ = [
     "ModelAssessment",

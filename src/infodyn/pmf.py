@@ -1,12 +1,11 @@
 """Sparse joint probability mass functions over discrete symbol tuples.
 
-A PMF is stored as (support indices, probabilities) rather than a dense
+A PMF is stored as (support cell codes, probabilities) rather than a dense
 array because downstream subset enumeration builds joints of dimension
-M+1, where dense storage (bins**(M+1)) blows up quickly. Rows are counted
-by their int64 row-major cell code (`_count_codes`), so estimates and
-marginals take memory in proportion to the samples or support rows, not the
-cells. The constructor is the one place a support is tallied: every
-JointPMF holds distinct rows in lexicographic order, duplicate rows summed.
+M+1, where dense storage (bins**(M+1)) blows up quickly. A cell's code is
+its int64 row-major index (`_cell_codes`), and one kernel, `_count_codes`,
+tallies every support: a JointPMF holds distinct codes in increasing order,
+duplicate rows summed, in memory that follows the rows, not the cells.
 `_marginal_walk` derives a whole lattice of marginals from one such tally,
 each from its parent, without building a JointPMF per marginal.
 """
@@ -21,64 +20,78 @@ import numpy as np
 __all__ = ["JointPMF", "marginalize", "condition"]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class JointPMF:
     """Joint PMF over a tuple of discrete variables.
 
     dims     -- alphabet size per dimension, stored as a tuple of ints
-    indices  -- (n_support, ndim) integer symbol tuples with nonzero mass;
-                stored distinct and in lexicographic order, the masses (and
-                counts) of rows given more than once summed
+    codes    -- (n_support,) distinct int64 cell codes, increasing
     probs    -- (n_support,) probabilities, strictly positive, summing to 1
-    edges    -- optional per-dimension bin edges (kept when the PMF came
-                from binning a real-valued signal; needed for rescaling)
     counts   -- optional (n_support,) positive integer sample counts that
-                `probs` normalizes (kept by `from_counts`); marginal counts
-                are exact integer sums, whatever order they are summed in
+                `probs` normalizes (kept by estimates and `from_counts`)
 
-    Two PMFs are equal when their dims, support rows and probabilities are;
-    edges and counts are not compared.
+    The constructor takes the support as (n_rows, ndim) integer symbol
+    tuples in any order, and sums the masses (and counts) of repeated rows;
+    `indices` gives them back, in code order. Two PMFs are equal when their
+    dims, codes and probabilities are; counts are not compared.
     """
 
     dims: tuple[int, ...]
-    indices: np.ndarray
+    codes: np.ndarray
     probs: np.ndarray
-    edges: tuple[np.ndarray, ...] | None = None
-    counts: np.ndarray | None = None
+    counts: np.ndarray | None
 
-    def __post_init__(self):
-        idx = np.atleast_2d(np.asarray(self.indices, dtype=np.int64))
-        p = np.asarray(self.probs, dtype=float)
+    def __init__(self, dims, indices, probs, counts=None):
+        dims = tuple(int(d) for d in dims)
+        idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
+        p = np.asarray(probs, dtype=float)
         if idx.shape[0] != p.shape[0]:
             raise ValueError("indices/probs length mismatch")
-        if idx.shape[1] != len(self.dims):
+        if idx.shape[1] != len(dims):
             raise ValueError("indices width does not match dims")
-        outside = ((idx < 0) | (idx >= np.asarray(self.dims, dtype=np.int64))).any(axis=0)
+        outside = ((idx < 0) | (idx >= np.asarray(dims, dtype=np.int64))).any(axis=0)
         if outside.any():
             d = int(np.flatnonzero(outside)[0])
-            raise ValueError(f"dimension {d}: index outside [0, {self.dims[d]})")
+            raise ValueError(f"dimension {d}: index outside [0, {dims[d]})")
         if np.any(p <= 0):
             raise ValueError("stored masses must be strictly positive")
         if abs(p.sum() - 1.0) > 1e-9:
             raise ValueError(f"total mass {p.sum()} not 1")
-        if self.counts is not None:
-            c = np.asarray(self.counts)
-            if c.shape != p.shape or not np.issubdtype(c.dtype, np.integer) or np.any(c <= 0):
+        if counts is not None:
+            counts = np.asarray(counts)
+            if (counts.shape != p.shape or not np.issubdtype(counts.dtype, np.integer)
+                    or np.any(counts <= 0)):
                 raise ValueError("counts must be one positive integer per support row")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        codes = _cell_codes(idx.T, self.dims)
-        n_cells = math.prod(self.dims)
-        cells, p = _count_codes(codes, p, n_cells)
-        if self.counts is not None:
-            object.__setattr__(self, "counts", _count_codes(codes, c, n_cells)[1])
-        object.__setattr__(self, "indices", np.column_stack(np.unravel_index(cells, self.dims)))
+        self._tally(dims, _cell_codes(idx.T, dims), p, counts)
+
+    @classmethod
+    def _from_codes(cls, dims, codes, probs=None) -> "JointPMF":
+        """PMF of the rows with cell codes `codes` over `dims` (see _tally)."""
+        pmf = object.__new__(cls)
+        pmf._tally(tuple(int(d) for d in dims), codes, probs)
+        return pmf
+
+    def _tally(self, dims, codes, probs, counts=None):
+        """Store the distinct `codes`, increasing, with their rows' summed
+        `probs` (and `counts`); with `probs` None, the rows' counts, normalized."""
+        n_cells = math.prod(dims)
+        if probs is None:
+            cells, counts = _count_codes(codes, n_cells=n_cells)
+            probs = counts / counts.sum()
+        else:
+            cells, probs = _count_codes(codes, probs, n_cells)
+            if counts is not None:
+                counts = _count_codes(codes, counts, n_cells)[1]
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "codes", cells)
         # exact-ish renormalization so the 1e-12 invariant holds downstream
-        object.__setattr__(self, "probs", p / p.sum())
+        object.__setattr__(self, "probs", probs / probs.sum())
+        object.__setattr__(self, "counts", counts)
 
     def __eq__(self, other):
         if not isinstance(other, JointPMF):
             return NotImplemented
-        return (self.dims == other.dims and np.array_equal(self.indices, other.indices)
+        return (self.dims == other.dims and np.array_equal(self.codes, other.codes)
                 and np.array_equal(self.probs, other.probs))
 
     @property
@@ -87,7 +100,11 @@ class JointPMF:
 
     @property
     def support_count(self) -> int:
-        return self.indices.shape[0]
+        return self.codes.shape[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return np.column_stack(np.unravel_index(self.codes, self.dims))
 
     @property
     def mass(self) -> dict[tuple[int, ...], float]:
@@ -95,37 +112,45 @@ class JointPMF:
         return {tuple(row): float(p) for row, p in zip(self.indices, self.probs)}
 
     @classmethod
-    def from_mapping(cls, mapping, dims, edges=None) -> "JointPMF":
+    def from_mapping(cls, mapping, dims) -> "JointPMF":
         idx = np.array(list(mapping), dtype=np.int64)
         if idx.ndim == 1:
             idx = idx[:, None]
         p = np.array(list(mapping.values()), dtype=float)
         keep = p > 0
-        return cls(tuple(dims), idx[keep], p[keep], edges)
+        return cls(tuple(dims), idx[keep], p[keep])
 
     @classmethod
-    def from_dense(cls, array, edges=None) -> "JointPMF":
+    def from_dense(cls, array) -> "JointPMF":
         a = np.asarray(array, dtype=float)
         idx = np.argwhere(a > 0)
-        return cls(tuple(a.shape), idx, a[a > 0], edges)
+        return cls(tuple(a.shape), idx, a[a > 0])
 
     @classmethod
-    def from_counts(cls, indices, counts, dims, edges=None) -> "JointPMF":
+    def from_counts(cls, indices, counts, dims) -> "JointPMF":
         """PMF normalizing `counts`; integer counts are kept as `counts`."""
         counts = np.asarray(counts)
         kept = counts if np.issubdtype(counts.dtype, np.integer) else None
-        return cls(tuple(dims), indices, counts / counts.sum(), edges, kept)
+        return cls(tuple(dims), indices, counts / counts.sum(), kept)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dims)
-        out[tuple(self.indices.T)] = self.probs
-        return out
+        out = np.zeros(math.prod(self.dims))
+        out[self.codes] = self.probs
+        return out.reshape(self.dims)
 
     def prob(self, symbol) -> float:
         """Mass at one symbol tuple (0 if off-support)."""
-        symbol = np.asarray(symbol, dtype=np.int64)
-        hit = np.all(self.indices == symbol, axis=1)
-        return float(self.probs[hit].sum())
+        symbol = np.asarray(symbol, dtype=np.int64).reshape(self.ndim)
+        if np.any(symbol < 0) or np.any(symbol >= self.dims):
+            return 0.0
+        code = np.ravel_multi_index(tuple(symbol), self.dims)
+        i = min(np.searchsorted(self.codes, code), self.support_count - 1)
+        return float(self.probs[i]) if self.codes[i] == code else 0.0
+
+
+def _digits(codes, dims, keep) -> list[np.ndarray]:
+    """The symbols of dimensions `keep` in the cells `codes` over `dims`."""
+    return [codes // math.prod(dims[d + 1:]) % dims[d] for d in keep]
 
 
 def marginalize(pmf: JointPMF, keep) -> JointPMF:
@@ -138,10 +163,9 @@ def marginalize(pmf: JointPMF, keep) -> JointPMF:
     for k in keep:
         if not 0 <= k < pmf.ndim:
             raise ValueError(f"invalid dimension index {k}")
-    edges = None
-    if pmf.edges is not None:
-        edges = tuple(pmf.edges[k] for k in keep)
-    return JointPMF(tuple(pmf.dims[k] for k in keep), pmf.indices[:, keep], pmf.probs, edges)
+    dims = tuple(pmf.dims[k] for k in keep)
+    return JointPMF._from_codes(dims, _cell_codes(_digits(pmf.codes, pmf.dims, keep), dims),
+                                pmf.probs)
 
 
 def _cell_codes(columns, dims) -> np.ndarray:
@@ -174,14 +198,6 @@ def _count_codes(codes, weights=None, n_cells=None):
     if weights is None or np.issubdtype(weights.dtype, np.integer):
         totals = totals.astype(np.int64)
     return cells, totals
-
-
-def _code_tally(pmf: JointPMF):
-    """The PMF's support as (int64 cell codes, weights), its codes distinct
-    and increasing: the integer counts when the PMF keeps them, else its
-    probabilities. `_marginal_walk` starts from it."""
-    weights = pmf.counts if pmf.counts is not None else pmf.probs
-    return _cell_codes(pmf.indices.T, pmf.dims), weights
 
 
 def _marginal_walk(cells, weights, dims, removable, depth):
@@ -223,19 +239,13 @@ def condition(pmf: JointPMF, given) -> JointPMF:
     for d, s in given:
         if not 0 <= d < pmf.ndim:
             raise ValueError(f"invalid dimension index {d}")
-        mask &= pmf.indices[:, d] == s
+        mask &= _digits(pmf.codes, pmf.dims, [d])[0] == s
     total = pmf.probs[mask].sum()
     if total <= 0:
         raise ValueError("impossible condition: event has zero probability")
     rest = [d for d in range(pmf.ndim) if d not in cond_dims]
     if not rest:
         raise ValueError("cannot condition on every dimension")
-    edges = None
-    if pmf.edges is not None:
-        edges = tuple(pmf.edges[d] for d in rest)
-    return JointPMF(
-        tuple(pmf.dims[d] for d in rest),
-        pmf.indices[mask][:, rest],
-        pmf.probs[mask] / total,
-        edges,
-    )
+    dims = tuple(pmf.dims[d] for d in rest)
+    codes = _cell_codes(_digits(pmf.codes[mask], pmf.dims, rest), dims)
+    return JointPMF._from_codes(dims, codes, pmf.probs[mask] / total)

@@ -2,9 +2,9 @@
 
 These stand in for large simulations when exercising the causality,
 modeling, and control machinery: coupled logistic maps, Lorenz-96, a GOY
-shell-model energy cascade, a noisy linear plant with the sensor/actuator
-interface, and a catalog of symbolic-map fixtures with analytically known
-joint PMFs.
+shell-model energy cascade, a noisy linear plant with a delayed sensor run
+in closed loop, and a catalog of symbolic-map fixtures with analytically
+known joint PMFs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "SystemSpec",
     "LinearPlant",
     "simulate",
-    "simulate_controlled",
     "symbolic_map_suite",
     "SymbolicFixture",
 ]
@@ -58,6 +57,8 @@ class SystemSpec:
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if not self.n_steps > self.transient_steps >= 0:
             raise ValueError("need n_steps > transient_steps >= 0")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
 
     def param(self, name, default):
         return self.parameters.get(name, default)
@@ -251,20 +252,18 @@ def goy_total_energy_drift(spec: SystemSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# noisy linear plant with the sensor/actuator interface
+# noisy linear plant with a delayed sensor
 
 NOISE_BLOCK = 4096  # steps of noise per draw in closed_loop, bounding its working set
 PLANT_KEYS = ("a", "noise_std", "sensor_noise_std", "max_delay")  # settable from a config
 
 
 class LinearPlant:
-    """Scalar AR(1) plant x' = a x + A + w with a delayed, noisy sensor.
-
-    Interface contract: reset(seed), step(actuation) -> state vector,
-    sense(theta_s) -> sensor vector, target(state) -> J vector. theta_s is
-    a continuous sensing delay in samples (linearly interpolated), the
-    tunable analog of a sensing location.
-    """
+    """Scalar AR(1) plant x' = a x + A + w with a delayed, noisy sensor
+    S = x delayed by theta_s samples + v. theta_s is a continuous sensing
+    delay in samples (linearly interpolated, clipped to [0, max_delay]), the
+    tunable analog of a sensing location. The plant holds its parameters;
+    closed_loop runs it under a proportional controller."""
 
     def __init__(self, a=0.9, noise_std=0.5, sensor_noise_std=0.1, max_delay=4.0, blowup=1e9):
         if not max_delay >= 0:
@@ -274,43 +273,13 @@ class LinearPlant:
         self.sensor_noise_std = sensor_noise_std
         self.max_delay = max_delay
         self.blowup = blowup
-        self.reset(0)
-
-    def reset(self, seed: int):
-        self.rng = np.random.default_rng(seed)
-        depth = int(np.ceil(self.max_delay)) + 2
-        self.history = np.zeros(depth)
-        self.x = 0.0
-        self.n = 0
-
-    def sense(self, theta_s) -> np.ndarray:
-        d = float(np.clip(np.atleast_1d(theta_s)[0], 0.0, self.max_delay))
-        lo = int(np.floor(d))
-        frac = d - lo
-        delayed = (1 - frac) * self.history[lo] + frac * self.history[lo + 1]
-        noise = self.rng.normal(0.0, self.sensor_noise_std) if self.sensor_noise_std else 0.0
-        return np.array([delayed + noise])
-
-    def step(self, actuation) -> np.ndarray:
-        a_val = float(np.atleast_1d(actuation)[0]) if actuation is not None else 0.0
-        w = self.rng.normal(0.0, self.noise_std)
-        self.x = self.a * self.x + a_val + w
-        self.n += 1
-        if not np.isfinite(self.x) or abs(self.x) > self.blowup:
-            raise NumericalBlowup(self.n, "linear-plant")
-        self.history = np.roll(self.history, 1)
-        self.history[0] = self.x
-        return np.array([self.x])
-
-    def target(self, state) -> np.ndarray:
-        return np.atleast_1d(state)
 
     def closed_loop(self, gain: float, theta_s: float, n_steps: int, transient: int,
                     seed: int) -> np.ndarray:
-        """Rows (x, S, A) of steps transient..n_steps-1 under A = -gain * S
-        from reset(seed): bit for bit what reset/sense/step give step by step
-        (same noise order, same float operations, same blow-up step), run on
-        Python floats. The plant's per-step state is left as it was."""
+        """Rows (x, S, A) of steps transient..n_steps-1 under A = -gain * S from
+        x = 0 and a zero sensor history, drawing per step from default_rng(seed)
+        the sensor noise (if sensor_noise_std is nonzero), then the process noise.
+        A state not finite or beyond `blowup` raises NumericalBlowup at its step."""
         if not n_steps >= transient >= 0:
             raise ValueError("need n_steps >= transient >= 0")
         rng = np.random.default_rng(seed)
@@ -341,12 +310,6 @@ class LinearPlant:
         return rows.reshape(n_steps, 3)[transient:]
 
 
-def _linear_plant_signal(spec: SystemSpec, gain: float, theta_s: float) -> SignalMatrix:
-    plant = LinearPlant(**{k: float(v) for k, v in spec.parameters.items() if k in PLANT_KEYS})
-    rows = plant.closed_loop(gain, theta_s, spec.n_steps, spec.transient_steps, spec.seed)
-    return SignalMatrix(np.column_stack([rows, rows[:, 0]]), ("x", "S", "A", "J"), spec.dt)
-
-
 # parameter keys each system kind reads; SystemSpec.check_parameters refuses others
 SYSTEM_KEYS = {
     "coupled-logistic": ("coupling",),
@@ -368,7 +331,10 @@ def simulate(spec: SystemSpec) -> SignalMatrix:
     if spec.kind == "goy-shell":
         return _goy_run(spec)
     if spec.kind == "linear-plant":
-        return _linear_plant_signal(spec, gain=0.0, theta_s=float(spec.param("theta_s", 0.0)))
+        plant = LinearPlant(**{k: float(v) for k, v in spec.parameters.items() if k in PLANT_KEYS})
+        rows = plant.closed_loop(0.0, float(spec.param("theta_s", 0.0)), spec.n_steps,
+                                 spec.transient_steps, spec.seed)
+        return SignalMatrix(np.column_stack([rows, rows[:, 0]]), ("x", "S", "A", "J"), spec.dt)
     # symbolic-map, the one kind left
     suite, name = symbolic_map_suite(), spec.param("name", None)
     if name not in suite:
@@ -376,18 +342,6 @@ def simulate(spec: SystemSpec) -> SignalMatrix:
                          f"known: {sorted(suite)}")
     symbols = suite[name].sample(spec.n_steps - spec.transient_steps, spec.seed)
     return SignalMatrix(symbols.codes.astype(float), suite[name].names, spec.dt)
-
-
-def simulate_controlled(spec: SystemSpec, controller) -> SignalMatrix:
-    """Actuated trajectory under A = -beta * S, recording (x, S, A, J)."""
-    if spec.kind != "linear-plant":
-        raise ValueError("controlled simulation supports the linear-plant kind")
-    spec.check_parameters()
-    beta = float(np.atleast_1d(controller.theta_aa)[0]) if hasattr(controller, "theta_aa") else float(controller)
-    theta_s = 0.0
-    if hasattr(controller, "theta_s") and np.size(controller.theta_s):
-        theta_s = float(np.atleast_1d(controller.theta_s)[0])
-    return _linear_plant_signal(spec, gain=beta, theta_s=theta_s)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +358,6 @@ class SymbolicFixture:
     target: int
     exact_joint: JointPMF
     _sampler: callable = field(compare=False, repr=False, default=None)
-
-    @property
-    def n_variables(self) -> int:
-        return len(self.alphabet)
 
     def sample(self, n_steps: int, seed: int = 0) -> SymbolSeries:
         return SymbolSeries(self._sampler(n_steps, seed), self.alphabet)

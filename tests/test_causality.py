@@ -21,7 +21,7 @@ from infodyn.causality import (
     information_leak,
 )
 from infodyn.discretization import OccupancyWarning, SymbolSeries, estimate_joint_pmf
-from infodyn.pmf import JointPMF, _code_tally, _marginal_walk
+from infodyn.pmf import JointPMF, _marginal_walk
 from infodyn.signals import SignalMatrix
 from infodyn.systems import symbolic_map_suite
 from test_pmf import unique_tally
@@ -318,8 +318,8 @@ def test_walk_counts_every_marginal_as_a_fresh_tally(symbols, lag):
     columns = [symbols.codes[lg:lg + n_valid, v] for v, lg in selection]
     dims = joint.dims
     seen = []
-    for removed, cells, counts in _marginal_walk(*_code_tally(joint), dims, range(len(dims)),
-                                                 len(dims)):
+    for removed, cells, counts in _marginal_walk(joint.codes, joint.counts, dims,
+                                                 range(len(dims)), len(dims)):
         seen.append(removed)
         assert counts.dtype == np.int64
         kept = [d for d in range(len(dims)) if not removed >> d & 1]
@@ -339,7 +339,8 @@ def test_walk_counts_every_marginal_as_a_fresh_tally(symbols, lag):
 def test_walk_visits_each_subset_within_the_depth_once(joint, data):
     removable = data.draw(st.lists(st.integers(0, joint.ndim - 1), unique=True))
     depth = data.draw(st.integers(0, joint.ndim))
-    seen = [m for m, _, _ in _marginal_walk(*_code_tally(joint), joint.dims, removable, depth)]
+    seen = [m for m, _, _ in _marginal_walk(joint.codes, joint.probs, joint.dims, removable,
+                                            depth)]
     want = [sum(1 << d for d in s) for k in range(depth + 1) for s in combinations(removable, k)]
     assert sorted(seen) == sorted(want)
 

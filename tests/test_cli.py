@@ -129,10 +129,12 @@ def test_fit_converges_and_reports(tmp_path):
     code, out = run(tmp_path, "fit", {
         "true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8],
         "bounds": [[-2, 2], [0.1, 3]], "n_samples": 50000, "bins": 32,
-        "ml_check": {"p_true": 0.3, "n_samples": 2000},
+        "ml_check": {"p_true": 0.3, "n_samples": 2000}, "options": {"max_iters": 200.0},
     })
     assert code == 0
     report = json.loads((out / "report.json").read_text())
+    # the options as given, not as the search read them
+    assert report["config"]["options"] == {"epsilon": 1e-9, "max_iters": 200.0}
     assert report["converged"] is True
     assert max(report["theta_error"]) < 1e-2
     assert report["ml_check"]["agree"] is True
@@ -159,6 +161,8 @@ def test_fit_refuses_theta_without_two_entries(tmp_path, capsys, key):
     ("bins", -2, "bins must be >= 2, got -2"),  # was "Number of samples, -1, must be non-negative"
     ("n_samples", -5, "n_samples must be >= 2, got -5"),  # was "negative dimensions are not allowed"
     ("n_samples", 1, "n_samples must be >= 2, got 1"),
+    # was "empty trace", from a search that made no step
+    ("options", {"max_iters": 0}, "options.max_iters must be >= 1, got 0"),
 ])
 def test_fit_refuses_out_of_range_sizes(tmp_path, capsys, key, value, message):
     config = {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8], "n_samples": 1000, key: value}
@@ -166,6 +170,16 @@ def test_fit_refuses_out_of_range_sizes(tmp_path, capsys, key, value, message):
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("n_samples", [
+    0,  # was "zero-size array to reduction operation minimum which has no identity"
+    -5,  # was "negative dimensions are not allowed"
+])
+def test_fixtures_refuses_out_of_range_sample_counts(tmp_path, capsys, n_samples):
+    code, _ = run(tmp_path, "fixtures", {"name": "xor", "n_samples": n_samples})
+    assert code == 2
+    assert capsys.readouterr().err == f"error: n_samples must be >= 2, got {n_samples}\n"
 
 
 @pytest.mark.parametrize("system, message", [
@@ -191,6 +205,9 @@ def test_fit_refuses_out_of_range_sizes(tmp_path, capsys, key, value, message):
     ({"kind": "lorenz96", "parameters": {"n_sites": -3}}, "lorenz96 n_sites -3 is not >= 4"),
     ({"kind": "linear-plant", "parameters": {"max_delay": -3}},
      "linear-plant max_delay -3.0 is not >= 0"),
+    # a Lorenz-96 dt of -1 blew up at step 100 (exit 4), and "nan" at step 0
+    ({"kind": "lorenz96", "dt": -1}, "dt must be finite and > 0, got -1.0"),
+    ({"kind": "lorenz96", "dt": "nan"}, "dt must be finite and > 0, got nan"),
 ])
 def test_simulate_refuses_bad_system_parameters(tmp_path, capsys, system, message):
     code, _ = run(tmp_path, "simulate", {"system": {"n_steps": 300, "transient_steps": 0,

@@ -154,27 +154,6 @@ def test_binned_pmf_clips_and_normalizes():
     pmf = infocore.binned_pmf(np.array([-3.0, 0.5, 1.5, 8.0]), edges)
     assert pmf.prob((0,)) == pytest.approx(0.5)
     assert pmf.prob((1,)) == pytest.approx(0.5)
-    assert pmf.edges is not None
-
-
-def test_rescale_pmf_identity_at_unit_gamma():
-    edges = np.array([0.0, 1.0, 2.0, 3.0])
-    pmf = infocore.binned_pmf(np.array([0.5, 1.5, 1.6, 2.5]), edges)
-    back = infocore.rescale_pmf(pmf, 1.0)
-    assert np.allclose(back.to_dense(), pmf.to_dense())
-
-
-def test_rescale_pmf_mass_conserved():
-    edges = np.array([0.0, 1.0, 2.0, 3.0])
-    pmf = infocore.binned_pmf(np.array([0.5, 1.5, 2.5, 2.9]), edges)
-    scaled = infocore.rescale_pmf(pmf, 0.37, reference_edges=edges)
-    assert scaled.probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_rescale_pmf_requires_edges():
-    pmf = JointPMF.from_dense(np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="edge metadata"):
-        infocore.rescale_pmf(pmf, 2.0)
 
 
 def dict_kl(p, q, epsilon=None):

@@ -143,13 +143,6 @@ def test_condition_cannot_drop_all_dims():
         condition(pmf, [(0, 0)])
 
 
-def test_edges_carried_through_marginalize():
-    edges = (np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 1.0]))
-    pmf = JointPMF.from_dense(np.full((2, 2), 0.25), edges=edges)
-    m = marginalize(pmf, [1])
-    assert np.array_equal(m.edges[0], edges[1])
-
-
 # ---------------------------------------------------------------------------
 # cell tallies against the implementations they replaced
 
@@ -256,6 +249,49 @@ def test_estimate_matches_dense_bincount_oracle(dense, data):
     n_valid = n_samples - max(lag for _, lag in selection)
     assume((math.prod(alphabet[v] for v, _ in selection) <= n_valid) == dense)
     assert_same_pmf(estimate_joint_pmf(symbols, selection), dense_estimate(symbols, selection))
+
+
+def row_scan_prob(pmf, symbol):
+    """Oracle: the mass at `symbol` by a scan over the support rows."""
+    hit = np.all(pmf.indices == np.asarray(symbol, dtype=np.int64), axis=1)
+    return float(pmf.probs[hit].sum())
+
+
+@st.composite
+def built_joints(draw):
+    """A JointPMF as each path makes one: the constructor given unsorted rows
+    with repeats, an estimate, a marginal or a conditional."""
+    how = draw(st.sampled_from(["constructed", "estimated", "marginalized", "conditioned"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
+    if how == "constructed":
+        rows = rng.integers(0, dims, size=(draw(st.integers(1, 40)), len(dims)))
+        rows = np.concatenate([rows, rows[rng.integers(0, len(rows), size=len(rows) // 2)]])
+        weights = rng.random(len(rows)) + 0.01
+        return JointPMF(dims, rows, weights / weights.sum())
+    if how == "estimated":
+        symbols = SymbolSeries(rng.integers(0, dims, size=(draw(st.integers(4, 60)), len(dims))),
+                               dims)
+        selection = [(int(v), int(lag)) for v, lag in rng.integers(0, [len(dims), 3], size=(3, 2))]
+        return estimate_joint_pmf(symbols, selection[:draw(st.integers(1, 3))])
+    pmf = draw(sparse_joints())
+    order = draw(st.permutations(range(pmf.ndim)))
+    if how == "marginalized":
+        return marginalize(pmf, order[:draw(st.integers(1, pmf.ndim))])
+    assume(pmf.ndim > 1)
+    row = pmf.indices[rng.integers(pmf.support_count)]  # a possible event
+    return condition(pmf, [(d, row[d]) for d in order[:draw(st.integers(1, pmf.ndim - 1))]])
+
+
+@settings(max_examples=120, deadline=None)
+@given(built_joints(), st.integers(0, 2**32 - 1))
+def test_support_is_stored_as_increasing_cell_codes(pmf, seed):
+    assert pmf.codes.dtype == np.int64 and np.all(np.diff(pmf.codes) > 0)
+    assert np.array_equal(pmf.codes, _cell_codes(pmf.indices.T, pmf.dims))
+    # every support row, then symbols in and out of the support and alphabets
+    off = np.random.default_rng(seed).integers(-1, np.asarray(pmf.dims) + 1, size=(20, pmf.ndim))
+    for symbol in [*pmf.indices, *off]:
+        assert pmf.prob(symbol) == row_scan_prob(pmf, symbol)
 
 
 def test_estimate_refuses_joints_wider_than_int64_codes():

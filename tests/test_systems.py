@@ -16,7 +16,6 @@ from infodyn.systems import (
     _rk4_step,
     goy_total_energy_drift,
     simulate,
-    simulate_controlled,
     symbolic_map_suite,
 )
 
@@ -230,6 +229,12 @@ def test_spec_refuses_parameters_the_kind_does_not_read(kind, params):
         simulate(spec)
 
 
+@pytest.mark.parametrize("dt", [-1.0, 0.0, float("nan"), float("inf")])
+def test_spec_refuses_dt_not_finite_and_positive(dt):
+    with pytest.raises(ValueError, match=r"dt must be finite and > 0"):
+        SystemSpec("lorenz96", dt=dt)
+
+
 def test_every_kind_reads_its_declared_parameters():
     # each kind runs with every key it declares set explicitly
     specs = [
@@ -248,64 +253,82 @@ def test_every_kind_reads_its_declared_parameters():
         assert simulate(spec).n_samples > 0
 
 
+class SteppedPlant(LinearPlant):
+    """LinearPlant driven one step at a time through reset(seed),
+    sense(theta_s) -> S, step(A) -> x and target(x) -> J: the oracle that
+    closed_loop must match bit for bit."""
+
+    def reset(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.history = np.zeros(int(np.ceil(self.max_delay)) + 2)
+        self.x, self.n = 0.0, 0
+
+    def sense(self, theta_s):
+        d = float(np.clip(theta_s, 0.0, self.max_delay))
+        lo = int(np.floor(d))
+        delayed = (1 - (d - lo)) * self.history[lo] + (d - lo) * self.history[lo + 1]
+        noise = self.rng.normal(0.0, self.sensor_noise_std) if self.sensor_noise_std else 0.0
+        return delayed + noise
+
+    def step(self, actuation):
+        self.x = self.a * self.x + actuation + self.rng.normal(0.0, self.noise_std)
+        self.n += 1
+        if not np.isfinite(self.x) or abs(self.x) > self.blowup:
+            raise NumericalBlowup(self.n, "linear-plant")
+        self.history = np.roll(self.history, 1)
+        self.history[0] = self.x
+        return self.x
+
+    def target(self, state):
+        return state
+
+    def loop(self, gain, theta_s, n_steps, transient, seed):
+        """Rows (J, S, A) of the opposition loop A = -gain * S."""
+        self.reset(seed)
+        rows = []
+        for n in range(n_steps):
+            s = float(self.sense(theta_s))
+            a = -gain * s
+            state = self.step(a)
+            if n >= transient:
+                rows.append((float(self.target(state)), s, a))
+        return np.array(rows).reshape(-1, 3)
+
+
 def test_linear_plant_stationary_variance():
     # uncontrolled AR(1): var = noise_std^2 / (1 - a^2)
     plant = LinearPlant(a=0.9, noise_std=0.5, sensor_noise_std=0.0)
-    plant.reset(0)
-    xs = [plant.step([0.0])[0] for _ in range(60000)]
+    xs = plant.closed_loop(0.0, 0.0, 60000, 2000, 0)[:, 0]
     expected = 0.25 / (1 - 0.81)
-    assert np.var(xs[2000:]) == pytest.approx(expected, rel=0.05)
+    assert np.var(xs) == pytest.approx(expected, rel=0.05)
 
 
 def test_linear_plant_sense_delay_interpolation():
-    plant = LinearPlant(sensor_noise_std=0.0, noise_std=0.0)
-    plant.reset(0)
-    plant.step([1.0])
-    plant.step([2.0])  # history now [2.9, 1.0, 0, ...] with a=0.9
-    s0 = plant.sense([0.0])[0]
-    s1 = plant.sense([1.0])[0]
-    s_half = plant.sense([0.5])[0]
+    # with no sensor noise and no gain, the state path is the same at every
+    # delay, and half a sample of delay averages the two whole ones
+    plant = LinearPlant(sensor_noise_std=0.0)
+    s0, s_half, s1 = (plant.closed_loop(0.0, d, 50, 0, 0)[:, 1] for d in (0.0, 0.5, 1.0))
     assert s_half == pytest.approx(0.5 * (s0 + s1))
+    assert np.array_equal(s1[1:], s0[:-1]) and s1[0] == 0.0
 
 
 def test_linear_plant_blowup():
-    plant = LinearPlant(blowup=10.0, noise_std=0.0)
-    plant.reset(0)
-    with pytest.raises(NumericalBlowup):
-        for _ in range(100):
-            plant.step([5.0 + plant.x])
-
-
-def _stepped_loop(plant, gain, theta_s, n_steps, transient, seed):
-    """The opposition loop A = -gain * S driven through reset/sense/step/target:
-    the reference that LinearPlant.closed_loop must reproduce bit for bit."""
-    plant.reset(seed)
-    rows = []
-    for n in range(n_steps):
-        s = float(plant.sense([theta_s])[0])
-        a = -gain * s
-        state = plant.step([a])
-        if n >= transient:
-            rows.append((float(plant.target(state)[0]), s, a))
-    return np.array(rows).reshape(-1, 3)
+    with pytest.raises(NumericalBlowup, match="in linear-plant"):
+        LinearPlant(a=2.0, blowup=10.0).closed_loop(0.0, 0.0, 100, 0, 0)
 
 
 def _assert_loops_agree(plant_kw, gain, theta_s, n_steps, transient, seed):
-    plant = LinearPlant(**plant_kw)
+    plant = SteppedPlant(**plant_kw)
     params = ControllerParams(theta_s=[theta_s], theta_aa=[gain])
-    spec = SystemSpec("linear-plant", plant_kw, n_steps, transient, seed)
     try:
-        expected = _stepped_loop(plant, gain, theta_s, n_steps, transient, seed)
+        expected = plant.loop(gain, theta_s, n_steps, transient, seed)
     except NumericalBlowup as blowup:
-        for run in (lambda: rollout(plant, params, n_steps, transient, seed),
-                    lambda: simulate_controlled(spec, params)):
-            with pytest.raises(NumericalBlowup, match=f"at step {blowup.step} "):
-                run()
+        with pytest.raises(NumericalBlowup, match=f"at step {blowup.step} "):
+            rollout(plant, params, n_steps, transient, seed)
         return blowup.step
     x, n = plant.x, plant.n
     assert np.array_equal(rollout(plant, params, n_steps, transient, seed).values, expected)
-    assert (plant.x, plant.n) == (x, n)  # the per-step state is not advanced
-    assert np.array_equal(simulate_controlled(spec, params).values[:, :3], expected)
+    assert (plant.x, plant.n) == (x, n)  # the stepped state is not advanced
     return None
 
 
@@ -339,36 +362,34 @@ def test_linear_plant_spec_rejects_unknown_parameters(params):
     bad = next(k for k in params if k != "a")
     with pytest.raises(ValueError, match=bad):
         simulate(spec)
-    with pytest.raises(ValueError, match=bad):
-        simulate_controlled(spec, 0.5)
 
 
-def test_simulate_controlled_zero_gain_matches_uncontrolled():
-    spec = SystemSpec("linear-plant", n_steps=3000, transient_steps=500, seed=4)
-    a = simulate(spec)
-    b = simulate_controlled(spec, 0.0)
-    assert np.array_equal(a.values, b.values)
+def test_rollout_zero_gain_matches_simulate():
+    spec = SystemSpec("linear-plant", {"theta_s": 1.5}, n_steps=3000, transient_steps=500, seed=4)
+    free = rollout(LinearPlant(), ControllerParams(theta_s=[1.5], theta_aa=[0.0]), 3000, 500, 4)
+    assert np.array_equal(simulate(spec).values[:, :3], free.values)
 
 
-def test_simulate_controlled_reduces_variance():
-    spec = SystemSpec("linear-plant", n_steps=20000, transient_steps=1000, seed=5)
-    free = simulate(spec).column("J").var()
-    held = simulate_controlled(spec, 0.9).column("J").var()
-    assert held < free
+def test_rollout_reduces_variance():
+    plant, steps = LinearPlant(), (20000, 1000, 5)
+    free = simulate(SystemSpec("linear-plant", n_steps=20000, transient_steps=1000, seed=5))
+    held = rollout(plant, ControllerParams(theta_s=[0.0], theta_aa=[0.9]), *steps)
+    assert held.column("J").var() < free.column("J").var()
 
 
 def test_controlled_variance_monotone_in_gain_below_a():
     # var(J) = (sigma_w^2 + beta^2 sigma_s^2) / (1 - (a - beta)^2) decreases
     # with beta only on [0, a]; past that the sensor noise term takes over
-    spec = SystemSpec("linear-plant", n_steps=30000, transient_steps=2000, seed=6)
-    variances = [simulate_controlled(spec, g).column("J").var() for g in (0.0, 0.3, 0.6, 0.9)]
+    plant = LinearPlant()
+    variances = [rollout(plant, ControllerParams(theta_s=[0.0], theta_aa=[g]), 30000, 2000,
+                         6).column("J").var() for g in (0.0, 0.3, 0.6, 0.9)]
     assert all(a > b for a, b in zip(variances, variances[1:]))
 
 
 def test_symbolic_suite_exact_joints_normalized():
     for fx in symbolic_map_suite().values():
         assert fx.exact_joint.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert fx.exact_joint.ndim == fx.n_variables + 1
+        assert fx.exact_joint.ndim == len(fx.alphabet) + 1
 
 
 def test_symbolic_sample_matches_exact_joint():

@@ -17,6 +17,7 @@ import numpy as np
 from . import infocore
 from .descent import OptimizationTrace, minimize
 from .discretization import PartitionSpec, SymbolSeries, discretize, estimate_joint_pmf
+from .params import resolve
 from .pmf import JointPMF, marginalize
 from .signals import SignalMatrix
 from .systems import NumericalBlowup
@@ -42,15 +43,10 @@ __all__ = [
 EXACT_MI_THRESHOLD = 1e-9
 
 # optimize_controller's options when not given
-CONTROLLER_DEFAULTS = {
-    "n_steps": 4000, "transient": 500, "seed": 0, "bins": 8,
-    "inner_tol": 1e-6, "inner_iters": 40, "outer_iters": 8,
-    "relax_init": 0.6, "relax_decay": 0.5, "relax_floor": 1e-3,
-    "reference_edges": None, "initial_step": 0.05, "kl_floor": 1e-9,
-    # histogram objectives are piecewise constant at fine scales: the
-    # finite-difference step must exceed the bin-crossing granularity
-    "fd_step": 0.05,
-}
+CONTROLLER_DEFAULTS = resolve("control.options", {})
+# histogram objectives are piecewise constant at fine scales: the
+# finite-difference step must exceed the bin-crossing granularity
+FD_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -88,12 +84,14 @@ class ControllerParams:
 @dataclass(frozen=True)
 class ControlTarget:
     """Desired first and second moments of the target variable, plus the
-    relaxation factors blending them with the current moments."""
+    relaxation factors blending them with the current moments; factors left
+    at None take their defaults from the parameter table, which checks the
+    others."""
 
     mu_target: np.ndarray
     sigma_target: np.ndarray
-    relax_mu: float = 0.6
-    relax_sigma: float = 0.6
+    relax_mu: float = None
+    relax_sigma: float = None
 
     def __post_init__(self):
         mu = np.atleast_1d(np.asarray(self.mu_target, dtype=float))
@@ -102,11 +100,12 @@ class ControlTarget:
             raise ValueError("sigma_target shape does not match mu_target")
         if np.any(np.diag(sig) < 0):
             raise ValueError("sigma_target diagonal must be nonnegative")
-        for xi in (self.relax_mu, self.relax_sigma):
-            if not 0 < xi <= 1:
-                raise ValueError("relaxation factors must lie in (0, 1]")
+        relax = resolve("target", {k: getattr(self, k) for k in ("relax_mu", "relax_sigma")
+                                   if getattr(self, k) is not None})
         object.__setattr__(self, "mu_target", mu)
         object.__setattr__(self, "sigma_target", sig)
+        object.__setattr__(self, "relax_mu", relax["relax_mu"])
+        object.__setattr__(self, "relax_sigma", relax["relax_sigma"])
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +288,10 @@ def padded_edges(uncontrolled: SignalMatrix, bins: int) -> np.ndarray:
 
 
 def kl_objective(plant, params: ControllerParams, target: ControlTarget, relax, reference_edges,
-                 n_steps: int = 4000, transient: int = 500, seed: int = 0,
-                 kl_floor: float = 1e-9) -> float:
+                 n_steps: int = CONTROLLER_DEFAULTS["n_steps"],
+                 transient: int = CONTROLLER_DEFAULTS["transient"],
+                 seed: int = CONTROLLER_DEFAULTS["seed"],
+                 kl_floor: float = CONTROLLER_DEFAULTS["kl_floor"]) -> float:
     """KL(p(J), p(J_hat)) for one closed-loop rollout: the distance between
     the achieved target-state distribution and its moment-corrected
     auxiliary, both binned on the reference partition. This exact function
@@ -325,10 +326,10 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
     objective over theta_aa; (3) tighten the relaxation factors toward the
     floor. The outer loop stops when the accepted KL stops decreasing.
     Plant failures reject the iterate and contract the actuator bounds
-    toward the last good point. Returns (best ControllerParams,
-    OptimizationTrace).
+    toward the last good point. The parameter table checks and defaults
+    `options`. Returns (best ControllerParams, OptimizationTrace).
     """
-    opts = {**CONTROLLER_DEFAULTS, **(options or {})}
+    opts = resolve("control.options", options or {})
     edges = opts["reference_edges"]
     if edges is None:  # reference partition from the uncontrolled plant
         edges = padded_edges(rollout(plant, init.replace(theta_aa=np.zeros_like(init.theta_aa)),
@@ -352,7 +353,7 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
             lambda t: _mi_objective(run(current.replace(theta_s=t)), opts["bins"], (0, 1)),
             current.theta_s, bounds=current.bounds_s, tol=opts["inner_tol"],
             max_iters=opts["inner_iters"], initial_step=opts["initial_step"], sign=-1.0,
-            fd_step=opts["fd_step"])
+            fd_step=FD_STEP)
         current = current.replace(theta_s=theta_s)
 
         # step 2: KL descent of the active actuation block
@@ -370,7 +371,7 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
         theta_aa, kl_val, _ = minimize(
             aa_objective, current.theta_aa, bounds=bounds_aa, tol=opts["inner_tol"],
             max_iters=opts["inner_iters"], initial_step=opts["initial_step"],
-            fd_step=opts["fd_step"])
+            fd_step=FD_STEP)
         if failure and bounds_aa is not None:
             # pull the search interval halfway toward the last good point
             center = current.theta_aa

@@ -78,6 +78,11 @@ def _probe(t, h, lo, hi):
     return (hi, hi - t) if hi - t >= t - lo else (lo, lo - t)
 
 
+def _box(theta, bounds):
+    """Per-coordinate (lo, hi) bounds of theta, unbounded when bounds is None."""
+    return np.broadcast_to([-np.inf, np.inf] if bounds is None else bounds, (theta.size, 2))
+
+
 def fd_gradient(f, theta, f0=None, fd_step: float = 1e-4, bounds=None):
     """Finite-difference gradient with per-coordinate step
     h_i = max(fd_step, fd_step * |theta_i|). Histogram-based objectives are
@@ -87,9 +92,8 @@ def fd_gradient(f, theta, f0=None, fd_step: float = 1e-4, bounds=None):
     theta = np.asarray(theta, dtype=float)
     if f0 is None:
         f0 = f(theta)
-    box = np.broadcast_to([-np.inf, np.inf] if bounds is None else bounds, (theta.size, 2))
     g = np.zeros_like(theta)
-    for i, (h, (lo, hi)) in enumerate(zip(_fd_steps(theta, fd_step), box)):
+    for i, (h, (lo, hi)) in enumerate(zip(_fd_steps(theta, fd_step), _box(theta, bounds))):
         point, step = _probe(theta[i], h, float(lo), float(hi))
         if step:
             probe = theta.copy()
@@ -113,9 +117,11 @@ def minimize(
 
     Returns (best_theta, best_value, trace). Values recorded in the trace
     are of the minimized objective sign*f. Stops when the evaluated
-    objective improves by less than tol between consecutive iterations, the
-    gradient vanishes, or max_iters is reached (trace.converged says which).
-    f is only evaluated within the bounds (see fd_gradient).
+    objective improves by less than tol between consecutive iterations
+    (converged), the gradient vanishes, or max_iters is reached. A vanished
+    gradient is convergence only when every bound interval has zero width:
+    a histogram objective is flat below its bin-crossing scale. f is only
+    evaluated within the bounds (see fd_gradient).
     """
     theta = _project(np.asarray(theta0, dtype=float).copy(), bounds)
     if trace is None:
@@ -131,7 +137,8 @@ def minimize(
         gnorm = float(np.linalg.norm(grad))
         if gnorm == 0.0:
             trace.add(iteration=it, value=val, theta=theta.copy(), step=0.0)
-            trace.converged = True
+            box = _box(theta, bounds)
+            trace.converged = bool(np.all(box[:, 0] == box[:, 1]))
             break
         if prev_grad is None:
             gamma = initial_step / gnorm

@@ -8,14 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import SCHEMES
 from .pmf import JointPMF, _cell_codes
 from .signals import SignalMatrix
 
 __all__ = ["PartitionSpec", "SymbolSeries", "OccupancyWarning", "discretize", "estimate_joint_pmf"]
 
 DEFAULT_BINS = 8
-
-SCHEMES = ("equiprobable-quantile", "uniform-width", "explicit-edges")
 
 
 @dataclass(frozen=True)

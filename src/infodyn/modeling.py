@@ -116,24 +116,18 @@ def kl_fit(simulate, reference: JointPMF, observable_spec: PartitionSpec, init: 
 
     options: tol (default 1e-6 bits), max_iters (200), epsilon (KL floor
     for off-support cells, default None = infinite KL propagates),
-    initial_step. Returns (ModelParams at the best-seen theta, trace).
+    initial_step (0.05). Returns (ModelParams at the best-seen theta, trace).
     """
-    opts = {"tol": 1e-6, "max_iters": 200, "epsilon": None, "initial_step": 0.05}
-    opts.update(options or {})
+    options = options or {}
+    # the search options given go through to minimize, which defaults the rest
+    search = {k: options[k] for k in ("tol", "max_iters", "initial_step") if k in options}
 
     def objective(theta):
         symbols = discretize(simulate(ModelParams(theta, init.bounds)), observable_spec)
         model_pmf = estimate_joint_pmf(symbols, [(v, 0) for v in range(symbols.n_variables)])
-        return infocore.kl_divergence(reference, model_pmf, epsilon=opts["epsilon"])
+        return infocore.kl_divergence(reference, model_pmf, epsilon=options.get("epsilon"))
 
-    best_theta, _, trace = minimize(
-        objective,
-        init.theta,
-        bounds=init.bounds,
-        tol=opts["tol"],
-        max_iters=opts["max_iters"],
-        initial_step=opts["initial_step"],
-    )
+    best_theta, _, trace = minimize(objective, init.theta, bounds=init.bounds, **search)
     return ModelParams(best_theta, init.bounds), trace
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import params
 from .discretization import SymbolSeries
 from .pmf import JointPMF
 from .signals import SignalMatrix
@@ -30,45 +31,34 @@ __all__ = [
 BLOWUP_CHECK_EVERY = 100  # steps between finiteness checks of an integrated state
 
 
-def _as_int(value, name: str) -> int:
-    """`value` as an int. A bool, a string or a non-integral number is
-    refused, naming `name`: int() would read True as 1 and truncate 100.5
-    to 100."""
-    if isinstance(value, (bool, np.bool_)) or not (
-            isinstance(value, (int, np.integer))
-            or isinstance(value, (float, np.floating)) and float(value).is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class SystemSpec:
+    """A system run. Fields left at None take their defaults from the
+    parameter table, which checks the others; simulate checks parameters."""
+
     kind: str
     parameters: dict = field(default_factory=dict)
-    n_steps: int = 10000
-    transient_steps: int = 1000
-    seed: int = 0
-    dt: float = 1e-3
+    n_steps: int = None
+    transient_steps: int = None
+    seed: int = None
+    dt: float = None
 
     def __post_init__(self):
-        if self.kind not in SYSTEM_KEYS:
-            raise ValueError(f"unknown system kind {self.kind!r}")
-        for name in ("n_steps", "transient_steps", "seed"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        if not self.n_steps > self.transient_steps >= 0:
-            raise ValueError("need n_steps > transient_steps >= 0")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
+        fields = ("kind", "n_steps", "transient_steps", "seed", "dt")
+        given = {k: getattr(self, k) for k in fields if getattr(self, k) is not None}
+        for k, v in params.resolve("system", given).items():
+            if k in fields:
+                object.__setattr__(self, k, v)
+        if not self.n_steps > self.transient_steps:
+            raise ValueError(f"system.n_steps must be > transient_steps = {self.transient_steps}, "
+                             f"got {self.n_steps}")
 
-    def param(self, name, default):
-        return self.parameters.get(name, default)
-
-    def check_parameters(self):
-        """Refuse any parameter that this kind does not read (SYSTEM_KEYS):
-        a misspelt key would otherwise be ignored without a word."""
-        unknown = sorted(set(self.parameters) - set(SYSTEM_KEYS[self.kind]))
-        if unknown:
-            raise ValueError(f"unknown {self.kind} parameters {unknown}")
+    def check_parameters(self) -> dict:
+        """The parameters laid over this kind's defaults. A key the kind does
+        not read is refused, as is a value of the wrong type or outside its
+        range (params.SECTIONS[kind]): a misspelt key would otherwise be
+        ignored without a word."""
+        return params.resolve(self.kind, self.parameters)
 
 
 class NumericalBlowup(RuntimeError):
@@ -114,8 +104,8 @@ def _rk4_step(rhs, x, dt):
 # ---------------------------------------------------------------------------
 # coupled logistic maps
 
-def _coupled_logistic(spec: SystemSpec) -> SignalMatrix:
-    c = float(spec.param("coupling", 0.4))
+def _coupled_logistic(spec: SystemSpec, p: dict) -> SignalMatrix:
+    c = p["coupling"]
 
     def step(state):  # y is driven by x through the coupling c
         x, y = state
@@ -142,11 +132,8 @@ def _lorenz96_rhs(x, forcing, neighbours):
     return (x[ip1] - x[im2]) * x[im1] - x + forcing
 
 
-def _lorenz96(spec: SystemSpec) -> SignalMatrix:
-    n_sites = _as_int(spec.param("n_sites", 8), "lorenz96 n_sites")
-    if n_sites < 4:  # sites i-2, i-1, i and i+1 must be distinct
-        raise ValueError(f"lorenz96 n_sites {n_sites} is not >= 4")
-    forcing = float(spec.param("forcing", 8.0))
+def _lorenz96(spec: SystemSpec, p: dict) -> SignalMatrix:
+    n_sites, forcing = p["n_sites"], p["forcing"]
     rng = np.random.default_rng(spec.seed)
     x0 = forcing * np.ones(n_sites) + 0.01 * rng.standard_normal(n_sites)
     neighbours = _lorenz96_neighbours(n_sites)
@@ -157,22 +144,6 @@ def _lorenz96(spec: SystemSpec) -> SignalMatrix:
 
 # ---------------------------------------------------------------------------
 # GOY shell model
-
-GOY_DEFAULTS = {
-    "n_shells": 19,
-    "lam": 2.0,
-    "k0": 0.0625,
-    "nu": 1e-7,
-    "f_amp": 5e-3,
-    "forced_shell": 3,
-    "eps": 0.5,
-    "sample_every": 5,
-    # shell indices bounding the scales at which the interscale energy
-    # transfer is recorded, and the smoothing time of the recorded signals
-    "cuts": (6, 8, 10, 12),
-    "smooth_time": 1.6,
-}
-
 
 def _goy_nonlinear(u, k, coeff):
     """Nonlinear shell-interaction term; conserves total energy sum |u_n|^2.
@@ -187,24 +158,16 @@ def _goy_nonlinear(u, k, coeff):
 
 def _goy_model(spec: SystemSpec, **overrides):
     """GOY set-up shared by the run and the energy check: the parameters
-    (defaults, then the spec's, then overrides) checked against their
-    ranges, the RK4 step, the nonlinear term and the seeded initial state."""
-    p = {**GOY_DEFAULTS, **spec.parameters, **overrides}
-    for key in ("n_shells", "forced_shell", "sample_every"):
-        p[key] = _as_int(p[key], f"goy-shell {key}")
+    (the spec's checked and laid over the defaults, then overrides), the
+    RK4 step, the nonlinear term and the seeded initial state. The shell
+    indices forced_shell and cuts must lie below n_shells."""
+    p = {**spec.check_parameters(), **overrides}
     n = p["n_shells"]
-    if n < 2:  # the interaction weights of the two lowest shells are fixed
-        raise ValueError(f"goy-shell n_shells {n} is not >= 2")
-    if not 0 <= p["forced_shell"] < n:
-        raise ValueError(f"goy-shell forced_shell {p['forced_shell']} outside [0, n_shells={n})")
-    if not p["sample_every"] >= 1:
-        raise ValueError(f"goy-shell sample_every {p['sample_every']} is not >= 1")
-    # dtype=object keeps each cut's own type, so a bool or a float is seen
-    cuts = p["cuts"] = np.array([_as_int(c, "goy-shell cut")
-                                 for c in np.ravel(np.array(p["cuts"], dtype=object))], dtype=int)
-    bad = cuts[(cuts < 0) | (cuts >= n)]
-    if bad.size:
-        raise ValueError(f"goy-shell cut {int(bad[0])} outside [0, n_shells={n})")
+    cuts = p["cuts"] = np.array(p["cuts"], dtype=int)
+    for key, index in [("forced_shell", p["forced_shell"]),
+                       *((f"cuts[{i}]", c) for i, c in enumerate(cuts))]:
+        if index >= n:
+            raise ValueError(f"goy-shell.{key} must be < n_shells = {n}, got {index}")
     k = p["k0"] * p["lam"] ** np.arange(1, n + 1)
     # interaction weights with the boundary shells zeroed via lag products
     km1 = np.concatenate(([0.0], k[:-1]))
@@ -244,7 +207,6 @@ def _goy_run(spec: SystemSpec) -> SignalMatrix:
 def goy_total_energy_drift(spec: SystemSpec) -> float:
     """Relative drift of total energy over the run with viscosity and
     forcing set to zero; an integrator sanity check."""
-    spec.check_parameters()
     p, step, _, u0 = _goy_model(spec, nu=0.0, f_amp=0.0)
     energy = lambda u: np.sum(np.abs(u) ** 2)
     _, u = _integrate(step, u0, spec, energy, p["sample_every"])
@@ -255,23 +217,19 @@ def goy_total_energy_drift(spec: SystemSpec) -> float:
 # noisy linear plant with a delayed sensor
 
 NOISE_BLOCK = 4096  # steps of noise per draw in closed_loop, bounding its working set
-PLANT_KEYS = ("a", "noise_std", "sensor_noise_std", "max_delay")  # settable from a config
 
 
 class LinearPlant:
     """Scalar AR(1) plant x' = a x + A + w with a delayed, noisy sensor
     S = x delayed by theta_s samples + v. theta_s is a continuous sensing
     delay in samples (linearly interpolated, clipped to [0, max_delay]), the
-    tunable analog of a sensing location. The plant holds its parameters;
-    closed_loop runs it under a proportional controller."""
+    tunable analog of a sensing location. The plant holds its parameters
+    a, noise_std, sensor_noise_std and max_delay (checked and defaulted by
+    params.SECTIONS["plant"]) and the blow-up threshold; closed_loop runs
+    it under a proportional controller."""
 
-    def __init__(self, a=0.9, noise_std=0.5, sensor_noise_std=0.1, max_delay=4.0, blowup=1e9):
-        if not max_delay >= 0:
-            raise ValueError(f"linear-plant max_delay {max_delay} is not >= 0")
-        self.a = a
-        self.noise_std = noise_std
-        self.sensor_noise_std = sensor_noise_std
-        self.max_delay = max_delay
+    def __init__(self, *, blowup=1e9, **parameters):
+        vars(self).update(params.resolve("plant", parameters))
         self.blowup = blowup
 
     def closed_loop(self, gain: float, theta_s: float, n_steps: int, transient: int,
@@ -310,38 +268,25 @@ class LinearPlant:
         return rows.reshape(n_steps, 3)[transient:]
 
 
-# parameter keys each system kind reads; SystemSpec.check_parameters refuses others
-SYSTEM_KEYS = {
-    "coupled-logistic": ("coupling",),
-    "lorenz96": ("n_sites", "forcing"),
-    "goy-shell": tuple(GOY_DEFAULTS),
-    "linear-plant": (*PLANT_KEYS, "theta_s"),
-    "symbolic-map": ("name",),
-}
-
-
 def simulate(spec: SystemSpec) -> SignalMatrix:
     """Run the system and return its labeled observables; deterministic for
     a fixed spec + seed, transient discarded."""
-    spec.check_parameters()
+    p = spec.check_parameters()
     if spec.kind == "coupled-logistic":
-        return _coupled_logistic(spec)
+        return _coupled_logistic(spec, p)
     if spec.kind == "lorenz96":
-        return _lorenz96(spec)
+        return _lorenz96(spec, p)
     if spec.kind == "goy-shell":
         return _goy_run(spec)
     if spec.kind == "linear-plant":
-        plant = LinearPlant(**{k: float(v) for k, v in spec.parameters.items() if k in PLANT_KEYS})
-        rows = plant.closed_loop(0.0, float(spec.param("theta_s", 0.0)), spec.n_steps,
-                                 spec.transient_steps, spec.seed)
+        theta_s = p.pop("theta_s")
+        rows = LinearPlant(**p).closed_loop(0.0, theta_s, spec.n_steps, spec.transient_steps,
+                                            spec.seed)
         return SignalMatrix(np.column_stack([rows, rows[:, 0]]), ("x", "S", "A", "J"), spec.dt)
     # symbolic-map, the one kind left
-    suite, name = symbolic_map_suite(), spec.param("name", None)
-    if name not in suite:
-        raise ValueError(f"symbolic-map needs a known parameters['name'], got {name!r}; "
-                         f"known: {sorted(suite)}")
-    symbols = suite[name].sample(spec.n_steps - spec.transient_steps, spec.seed)
-    return SignalMatrix(symbols.codes.astype(float), suite[name].names, spec.dt)
+    fixture = symbolic_map_suite()[p["name"]]
+    symbols = fixture.sample(spec.n_steps - spec.transient_steps, spec.seed)
+    return SignalMatrix(symbols.codes.astype(float), fixture.names, spec.dt)
 
 
 # ---------------------------------------------------------------------------

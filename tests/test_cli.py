@@ -1,12 +1,21 @@
+import contextlib
+import io
 import json
 import logging
+import math
+import re
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from infodyn import cli, control, discretization, modeling
+from infodyn import cli, control, discretization, modeling, params, systems
 from infodyn.cli import main
 from infodyn.discretization import PartitionSpec, discretize, estimate_joint_pmf
 from infodyn.modeling import ModelParams
@@ -105,7 +114,7 @@ def test_causality_refuses_order_before_any_joint(tmp_path, capsys):
         warnings.simplefilter("always")
         code, _ = run(tmp_path, "causality", {"input": str(path), "bins": 8, "order": 4})
     assert code == 2
-    assert capsys.readouterr().err == "error: order must be 1, 2, or 3\n"
+    assert capsys.readouterr().err == "error: order must be >= 1 and <= 3, got 4\n"
     assert not [w for w in caught if issubclass(w.category, discretization.OccupancyWarning)]
 
 
@@ -172,6 +181,178 @@ def test_fit_refuses_out_of_range_sizes(tmp_path, capsys, key, value, message):
     assert err == f"error: {message}\n"
 
 
+FIT = {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8], "n_samples": 1000}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    # each was an exit 1 with a TypeError traceback
+    ("fit", {**FIT, "options": {"tol": "abc"}}, "options.tol must be a number, got 'abc'"),
+    ("fit", {**FIT, "options": {"initial_step": "x"}},
+     "options.initial_step must be a number, got 'x'"),
+    ("control", {"options": {"relax_decay": "x"}}, "options.relax_decay must be a number, got 'x'"),
+    ("control", {"options": {"inner_tol": "x"}}, "options.inner_tol must be a number, got 'x'"),
+    ("simulate", {"system": {"kind": "goy-shell", "parameters": {"smooth_time": "x"}}},
+     "goy-shell.smooth_time must be a number, got 'x'"),
+    ("simulate", {"system": {"kind": "goy-shell", "parameters": {"lam": "x"}}},
+     "goy-shell.lam must be a number, got 'x'"),
+    # an exit 1 with a _UFuncNoLoopError traceback
+    ("fit", {**FIT, "options": {"epsilon": "x"}}, "options.epsilon must be a number, got 'x'"),
+    # each was an exit 2 in NumPy's or internal wording, naming no key
+    ("fit", {**FIT, "ml_check": {"n_samples": 0}}, "ml_check.n_samples must be >= 1, got 0"),
+    ("control", {"options": {"outer_iters": 0}}, "options.outer_iters must be >= 1, got 0"),
+    ("control", {"options": {"bins": 1}}, "options.bins must be >= 2, got 1"),
+    ("control", {"plant": {"a": "x"}}, "plant.a must be a number, got 'x'"),
+    ("simulate", {"system": {"kind": "goy-shell", "parameters": {"eps": [1, 2]}}},
+     "goy-shell.eps must be a number, got [1, 2]"),
+    ("simulate", {"system": {"kind": "linear-plant", "parameters": {"noise_std": -1}}},
+     "linear-plant.noise_std must be >= 0, got -1.0"),
+    ("causality", {"input": "x.csv", "identity_tolerance": "x"},
+     "identity_tolerance must be a number, got 'x'"),
+    # read by nothing, now unknown
+    ("simulate", {"system": {"kind": "coupled-logistic"}, "output_format": "csv"},
+     "output_format is not a known key; known: system"),
+])
+def test_refuses_a_bad_field_in_one_line_naming_it(tmp_path, capsys, command, config, message):
+    code, _ = run(tmp_path, command, config)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_fit_from_a_flat_start_does_not_converge(tmp_path):
+    # the histogram objective is flat at the finite-difference scale at
+    # init_theta: the search stopped there at once and reported success
+    code, out = run(tmp_path, "fit", {**FIT, "init_theta": [0, 0.8]})
+    report = json.loads((out / "report.json").read_text())
+    assert code == 3 and report["converged"] is False
+    assert report["fitted_theta"] == [0.0, 0.8] and report["n_iterations"] == 1
+
+
+# Single-field violations of every key in the parameter table, laid over a
+# small valid config of each command: wrong types, and values just past a
+# range bound.
+WRONG_TYPES = {
+    params.INT: ["x", True, [1], {"a": 1}, 1.5],
+    params.FLOAT: ["abc", [1.0], {"a": 1}],
+    params.INT_LIST: ["x", [1.5], [True], {"a": 1}],
+    params.FLOAT_LIST: ["abc", ["x"], {"a": 1}],
+    params.MATRIX: ["abc", [["x"]], {"a": 1}],
+    params.NAME: ["nope", 5, ["x"], {"a": 1}],
+    params.PATH: [5, True, ["x"], {"a": 1}],
+    params.SECTION: ["x", 5, [1], True],
+}
+VALID = {
+    "simulate": {"system": {"kind": "coupled-logistic"}},
+    "causality": {"system": {"kind": "coupled-logistic"}},
+    "fit": {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8]},
+    "control": {},
+    "fixtures": {},
+}
+KIND_PARAMETERS = {"symbolic-map": {"name": "xor"}}
+
+
+def _past_bounds(kind, detail):
+    """Values just outside each condition of the range `detail`."""
+    if kind not in (params.INT, params.FLOAT, params.INT_LIST) or not detail:
+        return []
+    out = []
+    for condition in detail.split(" and "):
+        if condition == "finite":
+            out.append(math.inf)
+            continue
+        op, bound = condition.split()
+        bound = float(bound)
+        down, up = (bound - 1, bound + 1) if kind != params.FLOAT else (
+            math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf))
+        out.append({">=": down, ">": bound, "<=": up, "<": bound}[op])
+    if kind != params.FLOAT:
+        out = [int(v) for v in out]
+    return [[v] for v in out] if kind == params.INT_LIST else out
+
+
+def _violations():
+    """(command, valid config, key path, bad value) for every table key."""
+    cases = []
+
+    def walk(command, config, section, path):
+        for key, (kind, _, detail) in params.SECTIONS[section].items():
+            for bad in WRONG_TYPES[kind] + _past_bounds(kind, detail):
+                cases.append((command, config, path + (key,), bad))
+            if kind == params.SECTION and detail != params.KIND:
+                walk(command, config, detail, path + (key,))
+        if section == "system":  # every kind's parameters
+            for k in params.KINDS:
+                cfg = json.loads(json.dumps(config))
+                system = cfg if not path else cfg[path[0]]
+                system.update(kind=k, parameters=KIND_PARAMETERS.get(k, {}))
+                walk(command, cfg, k, path + ("parameters",))
+
+    for command, config in VALID.items():
+        walk(command, config, command, ())
+    return cases
+
+
+VIOLATIONS = _violations()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(VIOLATIONS))
+def test_any_single_bad_field_is_refused_before_any_work(case):
+    command, config, path, bad = case
+    config = json.loads(json.dumps(config))
+    section = config
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = bad
+    err = io.StringIO()
+    reached = mock.Mock(side_effect=AssertionError("a command body ran"))
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(err), \
+            mock.patch.dict(cli.COMMANDS, {c: reached for c in cli.COMMANDS}):
+        cfg = Path(d) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main([command, "--config", str(cfg), "--out", str(Path(d) / "out")])
+    lines = err.getvalue().splitlines()
+    assert code == 2, (config, lines)
+    assert len(lines) == 1 and lines[0].startswith("error: ") and path[-1] in lines[0], lines
+    assert "Traceback" not in err.getvalue()
+
+
+def test_violations_cover_every_table_key():
+    keys = {path[-1] for _, _, path, _ in VIOLATIONS}
+    assert keys == {key for section in params.SECTIONS.values() for key in section}
+
+
+def _readme_default(default):
+    if default == params.REQUIRED:
+        return "required"
+    if default is None:
+        return "none"
+    return re.sub(r"e-0(\d)", r"e-\1", json.dumps(default))
+
+
+def test_readme_parameter_table_matches_params():
+    text = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = text.index("| section | key | type | default | range |") + 2
+    rows = []
+    for line in text[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().replace("`", "") for cell in line.strip("|").split("|")])
+    expected = []
+    for section, table in params.SECTIONS.items():
+        for key, (kind, default, detail) in table.items():
+            if kind == params.NAME:
+                detail = ", ".join(detail)
+            elif detail == params.KIND:
+                detail = "the kind's"
+            expected.append([section, key, kind, _readme_default(default), detail or ""])
+    assert rows == expected
+
+
+def test_table_names_match_the_code():
+    assert params.FIXTURES == tuple(sorted(systems.symbolic_map_suite()))
+    assert params.COMMANDS == tuple(cli.COMMANDS)
+
+
 @pytest.mark.parametrize("n_samples", [
     0,  # was "zero-size array to reduction operation minimum which has no identity"
     -5,  # was "negative dimensions are not allowed"
@@ -182,40 +363,59 @@ def test_fixtures_refuses_out_of_range_sample_counts(tmp_path, capsys, n_samples
     assert capsys.readouterr().err == f"error: n_samples must be >= 2, got {n_samples}\n"
 
 
-@pytest.mark.parametrize("system, message", [
-    ({"kind": "goy-shell", "parameters": {"cuts": [50]}}, "cut 50 outside"),
-    ({"kind": "goy-shell", "parameters": {"cuts": [-1, 6]}}, "cut -1 outside"),
-    ({"kind": "coupled-logistic", "parameters": {"bogus": 3}}, "unknown coupled-logistic"),
-    ({"kind": "goy-shell", "parameters": {"forced_shell": 40}}, "forced_shell 40 outside"),
-    ({"kind": "goy-shell", "parameters": {"sample_every": 0}}, "sample_every 0 is not >= 1"),
-    ({"kind": "symbolic-map", "parameters": {"name": "nope"}},
-     "known parameters['name'], got 'nope'; known: ['markov_pair'"),
-    ({"kind": "coupled-logistic", "n_steps": 100.5}, "n_steps must be an integer, got 100.5"),
-    ({"kind": "coupled-logistic", "seed": True}, "seed must be an integer, got True"),
+@pytest.mark.parametrize("system, message", [pytest.param(*case[1:], id=case[0]) for case in [
+    ("system0-cut 50 outside", {"kind": "goy-shell", "parameters": {"cuts": [50]}},
+     "goy-shell.cuts[0] must be < n_shells = 19, got 50"),
+    ("system1-cut -1 outside", {"kind": "goy-shell", "parameters": {"cuts": [-1, 6]}},
+     "goy-shell.cuts[0] must be >= 0, got -1"),
+    ("system2-unknown coupled-logistic", {"kind": "coupled-logistic", "parameters": {"bogus": 3}},
+     "coupled-logistic.bogus is not a known key; known: coupling"),
+    ("system3-forced_shell 40 outside", {"kind": "goy-shell", "parameters": {"forced_shell": 40}},
+     "goy-shell.forced_shell must be < n_shells = 19, got 40"),
+    ("system4-sample_every 0 is not >= 1",
+     {"kind": "goy-shell", "parameters": {"sample_every": 0}},
+     "goy-shell.sample_every must be >= 1, got 0"),
+    ("system5-known parameters['name'], got 'nope'; known: ['markov_pair'",
+     {"kind": "symbolic-map", "parameters": {"name": "nope"}},
+     "symbolic-map.name must be one of ['markov_pair', 'noise_target', 'redundant_pair', "
+     "'rotation4', 'rotation_pair', 'xor'], got 'nope'"),
+    ("system6-n_steps must be an integer, got 100.5", {"kind": "coupled-logistic", "n_steps": 100.5},
+     "system.n_steps must be an integer, got 100.5"),
+    ("system7-seed must be an integer, got True", {"kind": "coupled-logistic", "seed": True},
+     "system.seed must be an integer, got True"),
     # one shell ran: the two-entry interaction weights broadcast it to two
-    ({"kind": "goy-shell", "parameters": {"n_shells": 1, "cuts": [0], "forced_shell": 0}},
-     "goy-shell n_shells 1 is not >= 2"),
-    ({"kind": "goy-shell", "parameters": {"n_shells": 19.5}},
-     "goy-shell n_shells must be an integer, got 19.5"),
-    ({"kind": "goy-shell", "parameters": {"forced_shell": 2.5}},
-     "goy-shell forced_shell must be an integer, got 2.5"),
-    ({"kind": "goy-shell", "parameters": {"cuts": [6.7, 8]}}, "goy-shell cut must be an integer, got 6.7"),
-    ({"kind": "goy-shell", "parameters": {"cuts": [True, 8]}}, "goy-shell cut must be an integer, got True"),
+    ("system8-goy-shell n_shells 1 is not >= 2",
+     {"kind": "goy-shell", "parameters": {"n_shells": 1, "cuts": [0], "forced_shell": 0}},
+     "goy-shell.n_shells must be >= 2, got 1"),
+    ("system9-goy-shell n_shells must be an integer, got 19.5",
+     {"kind": "goy-shell", "parameters": {"n_shells": 19.5}},
+     "goy-shell.n_shells must be an integer, got 19.5"),
+    ("system10-goy-shell forced_shell must be an integer, got 2.5",
+     {"kind": "goy-shell", "parameters": {"forced_shell": 2.5}},
+     "goy-shell.forced_shell must be an integer, got 2.5"),
+    ("system11-goy-shell cut must be an integer, got 6.7",
+     {"kind": "goy-shell", "parameters": {"cuts": [6.7, 8]}},
+     "goy-shell.cuts[0] must be an integer, got 6.7"),
+    ("system12-goy-shell cut must be an integer, got True",
+     {"kind": "goy-shell", "parameters": {"cuts": [True, 8]}},
+     "goy-shell.cuts[0] must be an integer, got True"),
     # NumPy's "negative dimensions are not allowed" was printed for these two
-    ({"kind": "lorenz96", "parameters": {"n_sites": -3}}, "lorenz96 n_sites -3 is not >= 4"),
-    ({"kind": "linear-plant", "parameters": {"max_delay": -3}},
-     "linear-plant max_delay -3.0 is not >= 0"),
+    ("system13-lorenz96 n_sites -3 is not >= 4", {"kind": "lorenz96", "parameters": {"n_sites": -3}},
+     "lorenz96.n_sites must be >= 4, got -3"),
+    ("system14-linear-plant max_delay -3.0 is not >= 0",
+     {"kind": "linear-plant", "parameters": {"max_delay": -3}},
+     "linear-plant.max_delay must be >= 0, got -3.0"),
     # a Lorenz-96 dt of -1 blew up at step 100 (exit 4), and "nan" at step 0
-    ({"kind": "lorenz96", "dt": -1}, "dt must be finite and > 0, got -1.0"),
-    ({"kind": "lorenz96", "dt": "nan"}, "dt must be finite and > 0, got nan"),
-])
+    ("system15-dt must be finite and > 0, got -1.0", {"kind": "lorenz96", "dt": -1},
+     "system.dt must be finite and > 0, got -1.0"),
+    ("system16-dt must be finite and > 0, got nan", {"kind": "lorenz96", "dt": "nan"},
+     "system.dt must be finite and > 0, got nan"),
+]])
 def test_simulate_refuses_bad_system_parameters(tmp_path, capsys, system, message):
     code, _ = run(tmp_path, "simulate", {"system": {"n_steps": 300, "transient_steps": 0,
                                                     **system}})
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.filterwarnings("error")  # no NumPy overflow warning on stderr either

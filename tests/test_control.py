@@ -39,7 +39,7 @@ def test_controller_params_validation():
 def test_control_target_validation():
     with pytest.raises(ValueError, match="sigma_target shape"):
         ControlTarget([0.0], [[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="relaxation"):
+    with pytest.raises(ValueError, match=r"^target\.relax_mu must be > 0 and <= 1, got 0\.0$"):
         ControlTarget([0.0], [[1.0]], relax_mu=0.0)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infodyn import infocore
+from infodyn import infocore, modeling
 from infodyn.descent import OptimizationTrace, fd_gradient, minimize
 from infodyn.discretization import PartitionSpec, SymbolSeries, discretize, estimate_joint_pmf
 from infodyn.modeling import (
@@ -116,6 +116,31 @@ def test_minimize_probes_backward_at_upper_bound():
         else:
             # a zero-width interval has slope 0: no probe, and the search stops
             assert len(path) == 1 and trace.converged
+
+
+@pytest.mark.parametrize("bounds", [None, [[-1.0, 1.0]], [[0.0, 0.0], [-1.0, 1.0]]])
+def test_minimize_stops_on_a_flat_gradient_without_converging(bounds):
+    # a flat finite difference says nothing about the optimum where a
+    # coordinate could move: the search stops, unconverged
+    theta0 = [0.0] * (1 if bounds is None else len(bounds))
+    _, _, trace = minimize(lambda t: 1.0, theta0, bounds=bounds)
+    assert len(trace.records) == 1 and trace.converged is False
+
+
+def test_kl_fit_passes_only_the_given_search_options(monkeypatch):
+    calls = []
+
+    def recorded(f, theta0, **kwargs):
+        calls.append(kwargs)
+        return np.asarray(theta0, dtype=float), 0.0, OptimizationTrace()
+
+    monkeypatch.setattr(modeling, "minimize", recorded)
+    reference = JointPMF.from_mapping({(0,): 1.0}, (1,))
+    spec = PartitionSpec("explicit-edges", edges=(np.array([0.0, 1.0, 2.0]),))
+    for options in (None, {"epsilon": 1e-9}, {"tol": 1e-3, "max_iters": 5, "initial_step": 0.1}):
+        kl_fit(None, reference, spec, ModelParams([0.0]), options)
+    assert calls == [{"bounds": None}, {"bounds": None},
+                     {"bounds": None, "tol": 1e-3, "max_iters": 5, "initial_step": 0.1}]
 
 
 def test_minimize_maximization_sign():

@@ -1,11 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from infodyn.control import ControllerParams, rollout
+from infodyn.params import KINDS, SECTIONS, resolve
 from infodyn.systems import (
-    GOY_DEFAULTS,
     NOISE_BLOCK,
-    SYSTEM_KEYS,
     LinearPlant,
     NumericalBlowup,
     SystemSpec,
@@ -19,9 +20,18 @@ from infodyn.systems import (
     symbolic_map_suite,
 )
 
+GOY_DEFAULTS = resolve("goy-shell", {})
+
+
+def exactly(message):
+    """A pytest.raises match for `message` and nothing else."""
+    return f"^{re.escape(message)}$"
+
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="unknown system kind"):
+    with pytest.raises(ValueError, match=exactly(
+            "system.kind must be one of ['coupled-logistic', 'lorenz96', 'goy-shell', "
+            "'linear-plant', 'symbolic-map'], got 'pendulum'")):
         SystemSpec("pendulum")
     with pytest.raises(ValueError, match="n_steps"):
         SystemSpec("lorenz96", n_steps=10, transient_steps=10)
@@ -52,7 +62,7 @@ def test_simulate_deterministic():
 
 def _coupled_logistic_oracle(spec):
     # the former coupled-logistic loop, on NumPy scalars
-    c = float(spec.param("coupling", 0.4))
+    c = float(spec.parameters.get("coupling", 0.4))
     x, y = np.random.default_rng(spec.seed).uniform(0.1, 0.9, size=2)
     out = np.empty((spec.n_steps - spec.transient_steps, 2))
     for n in range(spec.n_steps):
@@ -195,24 +205,30 @@ def test_goy_signal_shape_and_names():
 
 
 @pytest.mark.parametrize("params, message", [
-    ({"n_shells": 1, "cuts": [0], "forced_shell": 0}, "n_shells 1 is not >= 2"),
+    pytest.param({"n_shells": 1, "cuts": [0], "forced_shell": 0}, "n_shells must be >= 2, got 1",
+                 id="params0-n_shells 1 is not >= 2"),
     ({"n_shells": 19.5}, "n_shells must be an integer, got 19.5"),
     ({"forced_shell": 2.5}, "forced_shell must be an integer, got 2.5"),
     ({"sample_every": 2.5}, "sample_every must be an integer, got 2.5"),
-    ({"cuts": [6.7, 8]}, "cut must be an integer, got 6.7"),
+    pytest.param({"cuts": [6.7, 8]}, "cuts[0] must be an integer, got 6.7",
+                 id="params4-cut must be an integer, got 6.7"),
 ])
 def test_goy_refuses_non_integral_or_single_shell_parameters(params, message):
     spec = SystemSpec("goy-shell", params, n_steps=200, transient_steps=0, dt=2e-4)
-    with pytest.raises(ValueError, match=f"goy-shell {message}"):
+    with pytest.raises(ValueError, match=exactly(f"goy-shell.{message}")):
         simulate(spec)
 
 
-@pytest.mark.parametrize("cuts, bad", [([50], "50"), ([-1, 6], "-1"), ([6, 19], "19")])
-def test_goy_refuses_cuts_outside_the_shells(cuts, bad):
+@pytest.mark.parametrize("cuts, message", [
+    pytest.param([50], "cuts[0] must be < n_shells = 19, got 50", id="cuts0-50"),
+    pytest.param([-1, 6], "cuts[0] must be >= 0, got -1", id="cuts1--1"),
+    pytest.param([6, 19], "cuts[1] must be < n_shells = 19, got 19", id="cuts2-19"),
+])
+def test_goy_refuses_cuts_outside_the_shells(cuts, message):
     # a cut past the last shell used to raise IndexError; a negative one
     # silently read a shell counted from the end
     spec = SystemSpec("goy-shell", {"cuts": cuts}, n_steps=200, transient_steps=0, dt=2e-4)
-    with pytest.raises(ValueError, match=f"cut {bad} outside"):
+    with pytest.raises(ValueError, match=exactly(f"goy-shell.{message}")):
         simulate(spec)
 
 
@@ -225,7 +241,9 @@ def test_goy_refuses_cuts_outside_the_shells(cuts, bad):
 ])
 def test_spec_refuses_parameters_the_kind_does_not_read(kind, params):
     spec = SystemSpec(kind, params, n_steps=200, transient_steps=0)
-    with pytest.raises(ValueError, match=f"unknown {kind} parameters"):
+    key = next(k for k in params if k not in SECTIONS[kind])
+    known = ", ".join(SECTIONS[kind])
+    with pytest.raises(ValueError, match=exactly(f"{kind}.{key} is not a known key; known: {known}")):
         simulate(spec)
 
 
@@ -247,9 +265,9 @@ def test_every_kind_reads_its_declared_parameters():
                    n_steps=200, transient_steps=0),
         SystemSpec("symbolic-map", {"name": "xor"}, n_steps=200, transient_steps=0),
     ]
-    assert sorted(s.kind for s in specs) == sorted(SYSTEM_KEYS)
+    assert sorted(s.kind for s in specs) == sorted(KINDS)
     for spec in specs:
-        assert set(spec.parameters) == set(SYSTEM_KEYS[spec.kind])
+        assert set(spec.parameters) == set(SECTIONS[spec.kind])
         assert simulate(spec).n_samples > 0
 
 
@@ -357,7 +375,7 @@ def test_linear_plant_blowup_threshold():
 
 @pytest.mark.parametrize("params", [{"noise_sd": 5.0}, {"a": 1.001, "blowup": 1e3}])
 def test_linear_plant_spec_rejects_unknown_parameters(params):
-    # a spec sets only PLANT_KEYS and theta_s; anything else would be ignored
+    # a spec sets only the plant keys and theta_s; anything else would be ignored
     spec = SystemSpec("linear-plant", params, seed=1)
     bad = next(k for k in params if k != "a")
     with pytest.raises(ValueError, match=bad):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import causality, control, infocore, modeling, params, systems
-from .discretization import PartitionSpec, SymbolSeries, discretize, estimate_joint_pmf
+from .discretization import PartitionSpec, SymbolSeries, discretize
 from .modeling import ModelParams
 from .pmf import JointPMF
 from .signals import SignalMatrix, read_csv, write_csv
@@ -135,20 +135,6 @@ def cmd_causality(given: dict, cfg: dict, out_dir: Path) -> int:
     return EXIT_OK if identity_ok else EXIT_IDENTITY
 
 
-def _affine_noise_signal(theta, g):
-    # two-parameter location/scale family: x = theta0 + theta1 * g
-    return SignalMatrix((theta[0] + theta[1] * g)[:, None], ("x",))
-
-
-def _reference_pmf(true_theta, g, bins):
-    # the reference histogram on edges spanning its samples with a margin;
-    # the samples themselves are dropped on return
-    x = _affine_noise_signal(true_theta, g)
-    edges = np.linspace(x.values.min() - 1.0, x.values.max() + 1.0, bins + 1)
-    spec = PartitionSpec("explicit-edges", edges=(edges,))
-    return estimate_joint_pmf(discretize(x, spec), [(0, 0)]), spec
-
-
 def cmd_fit(given: dict, cfg: dict, out_dir: Path) -> int:
     family, n_samples, seed, bins = cfg["family"], cfg["n_samples"], cfg["seed"], cfg["bins"]
     true_theta, init_theta = (np.asarray(cfg[k], dtype=float) for k in ("true_theta", "init_theta"))
@@ -157,14 +143,15 @@ def cmd_fit(given: dict, cfg: dict, out_dir: Path) -> int:
             raise ConfigError(f"{family} needs {key} with exactly 2 entries, got {theta.tolist()}")
 
     # One noise draw serves the reference and every evaluation (common random
-    # numbers). The objective is a lag-0 histogram, blind to sample order, so
-    # the draw is sorted: theta0 + theta1*g stays monotone, and the bin search
-    # over monotone samples is about three times faster.
-    g = np.sort(np.random.default_rng(seed).standard_normal(n_samples))
-    reference, spec = _reference_pmf(true_theta, g, bins)
-    simulate = lambda p: _affine_noise_signal(p.theta, g)
-    fitted, trace = modeling.kl_fit(simulate, reference, spec,
-                                    ModelParams(init_theta, cfg["bounds"]), cfg["options"])
+    # numbers). The model sorts it in place and counts each histogram by
+    # bisection into it (see modeling.AffineNoise), in O(bins log n_samples)
+    # rather than O(n_samples); the reference edges span its samples with a margin.
+    model = modeling.AffineNoise(np.random.default_rng(seed).standard_normal(n_samples))
+    low, high = model.span(true_theta)
+    spec = PartitionSpec("explicit-edges", edges=(np.linspace(low - 1.0, high + 1.0, bins + 1),))
+    model_pmf = lambda theta: model.pmf(theta, spec)
+    fitted, trace = modeling.kl_descent(model_pmf, model_pmf(true_theta),
+                                        ModelParams(init_theta, cfg["bounds"]), cfg["options"])
     trace.write_csv(out_dir / "trace.csv")
 
     report = {

@@ -94,7 +94,8 @@ def fd_gradient(f, theta, f0=None, fd_step: float = 1e-4, bounds=None):
         f0 = f(theta)
     g = np.zeros_like(theta)
     for i, (h, (lo, hi)) in enumerate(zip(_fd_steps(theta, fd_step), _box(theta, bounds))):
-        point, step = _probe(theta[i], h, float(lo), float(hi))
+        # Python floats: a probe past the largest float is inf, without a NumPy warning
+        point, step = _probe(float(theta[i]), float(h), float(lo), float(hi))
         if step:
             probe = theta.copy()
             probe[i] = point

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import infocore
 from .descent import minimize
-from .discretization import PartitionSpec, SymbolSeries, discretize, estimate_joint_pmf
+from .discretization import (PartitionSpec, SymbolSeries, _warn_if_sparse, discretize,
+                             estimate_joint_pmf)
 from .pmf import JointPMF
 
 __all__ = [
@@ -25,7 +26,9 @@ __all__ = [
     "fano_error_probability_bound",
     "expected_error_lower_bound",
     "pinsker_statistical_bound",
+    "kl_descent",
     "kl_fit",
+    "AffineNoise",
     "ml_equivalence_check",
     "MLEquivalenceReport",
 ]
@@ -104,31 +107,113 @@ def pinsker_statistical_bound(p: JointPMF, q: JointPMF) -> float:
     return math.sqrt(2.0 * LN2 * kl)
 
 
-def kl_fit(simulate, reference: JointPMF, observable_spec: PartitionSpec, init: ModelParams, options=None):
-    """Fit model parameters by descending KL(reference, pmf(simulate(theta))).
+def kl_descent(model_pmf, reference: JointPMF, init: ModelParams, options=None):
+    """Fit model parameters by descending KL(reference, model_pmf(theta)).
 
-    simulate maps ModelParams to a SignalMatrix and must be deterministic
-    for fixed theta (common random numbers keep the finite-difference
-    gradient meaningful). The simulated observables are discretized by
-    observable_spec and compared against `reference` on the same partition.
-    The model PMF is a lag-0 histogram, so sample order is ignored: draw
-    any noise once, outside simulate, rather than on every evaluation.
-
-    options: tol (default 1e-6 bits), max_iters (200), epsilon (KL floor
-    for off-support cells, default None = infinite KL propagates),
-    initial_step (0.05). Returns (ModelParams at the best-seen theta, trace).
+    model_pmf maps a theta vector to a JointPMF on the reference's
+    partition and must be deterministic (common random numbers keep the
+    finite-difference gradient meaningful); it is evaluated only within
+    init.bounds. options: tol (default 1e-6 bits), max_iters (200), epsilon
+    (KL floor for off-support cells, default None = infinite KL
+    propagates), initial_step (0.05). Returns (ModelParams at the best-seen
+    theta, trace).
     """
     options = options or {}
     # the search options given go through to minimize, which defaults the rest
     search = {k: options[k] for k in ("tol", "max_iters", "initial_step") if k in options}
 
     def objective(theta):
-        symbols = discretize(simulate(ModelParams(theta, init.bounds)), observable_spec)
-        model_pmf = estimate_joint_pmf(symbols, [(v, 0) for v in range(symbols.n_variables)])
-        return infocore.kl_divergence(reference, model_pmf, epsilon=options.get("epsilon"))
+        return infocore.kl_divergence(reference, model_pmf(theta), epsilon=options.get("epsilon"))
 
     best_theta, _, trace = minimize(objective, init.theta, bounds=init.bounds, **search)
     return ModelParams(best_theta, init.bounds), trace
+
+
+def kl_fit(simulate, reference: JointPMF, observable_spec: PartitionSpec, init: ModelParams, options=None):
+    """kl_descent over the lag-0 histograms of simulated observables.
+
+    simulate maps ModelParams to a SignalMatrix and must be deterministic
+    for fixed theta. Its observables are discretized by observable_spec
+    and estimated as a lag-0 joint PMF, so sample order is ignored: draw
+    any noise once, outside simulate, rather than on every evaluation. A
+    family whose histogram is cheaper to count than to sample passes its
+    own model_pmf to kl_descent (see AffineNoise). options as kl_descent.
+    """
+
+    def model_pmf(theta):
+        symbols = discretize(simulate(ModelParams(theta, init.bounds)), observable_spec)
+        return estimate_joint_pmf(symbols, [(v, 0) for v in range(symbols.n_variables)])
+
+    return kl_descent(model_pmf, reference, init, options)
+
+
+class AffineNoise:
+    """The affine-noise family x = theta[0] + theta[1] * g over one noise
+    draw g, as lag-0 histograms on explicit edges.
+
+    The draw is sorted in place when the model is built (a float64 array
+    is taken without a copy); a lag-0 histogram is blind to sample order.
+    Over sorted g the samples are monotone in their index for any theta,
+    nondecreasing for theta[1] >= 0 and nonincreasing below, because each
+    IEEE operation rounds monotonically. So the count of samples below an
+    inner edge is one binary search that evaluates theta[0] + theta[1] *
+    g[i] at about log2(n) indices, with the two operations NumPy applies to
+    the whole array: counts and PMFs are bitwise those of `discretize` +
+    `estimate_joint_pmf` on the samples, at O(bins log n) per PMF instead
+    of O(n). With bins near n the search is the slower of the two.
+    """
+
+    def __init__(self, noise):
+        self.noise = np.asarray(noise, dtype=float)
+        self.noise.sort()
+
+    def _samples(self, theta, index):
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples are refused
+            return theta[0] + theta[1] * self.noise[index]
+
+    def span(self, theta) -> tuple[float, float]:
+        """The smallest and the largest sample at theta. A ValueError when
+        any sample is NaN or infinite: with x monotone, the two end samples
+        are finite exactly when every sample is."""
+        theta = np.asarray(theta, dtype=float)
+        first, last = self._samples(theta, [0, -1])
+        if not (np.isfinite(first) and np.isfinite(last)):
+            raise ValueError("values contain NaN or Inf")
+        return (first, last) if theta[1] >= 0 else (last, first)
+
+    def counts(self, theta, edges) -> np.ndarray:
+        """Samples per cell of `edges` at theta, as `discretize` bins them:
+        half-open cells [e_k, e_k+1), samples out of range in the end cells."""
+        theta = np.asarray(theta, dtype=float)
+        self.span(theta)  # refuses non-finite samples
+        n = self.noise.size
+        inner = np.asarray(edges, dtype=float)[1:-1]
+        rising = bool(theta[1] >= 0)
+        # Per edge, the length of the run of samples from index 0 that lie
+        # on the near side of the edge: below it while x rises, at or above
+        # it while x falls. All edges are searched at once, one bit of the
+        # length per pass, from the highest.
+        run = np.zeros(inner.size, dtype=np.int64)
+        step = 1 << (n.bit_length() - 1)
+        while step:
+            longer = run + step
+            fits = longer <= n
+            x = self._samples(theta, np.minimum(longer, n) - 1)
+            run += step * (fits & ((x < inner) == rising))
+            step >>= 1
+        below = run if rising else n - run
+        return np.diff(below, prepend=0, append=n)
+
+    def pmf(self, theta, spec: PartitionSpec) -> JointPMF:
+        """The lag-0 PMF of x at theta on the one variable of the
+        explicit-edges `spec`, with its counts; an OccupancyWarning as
+        `estimate_joint_pmf` gives."""
+        spec.bins_for(1)  # refuses a spec of other than one variable
+        counts = self.counts(theta, spec.edges[0])
+        cells = np.flatnonzero(counts)
+        pmf = JointPMF.from_counts(cells[:, None], counts[cells], (counts.size,))
+        _warn_if_sparse(pmf.support_count, self.noise.size, stacklevel=2)
+        return pmf
 
 
 @dataclass(frozen=True)

@@ -34,14 +34,14 @@ SECTIONS = {
     "simulate": {"system": (SECTION, REQUIRED, "system")},
     "causality": {
         "input": (PATH, None, None), "system": (SECTION, None, "system"),
-        "lag": (INT, 1, ">= 1"), "order": (INT, 1, ">= 1 and <= 3"), "bins": (INT, 8, None),
+        "lag": (INT, 1, ">= 1"), "order": (INT, 1, ">= 1 and <= 3"), "bins": (INT, 8, ">= 2"),
         "scheme": (NAME, "equiprobable-quantile", SCHEMES),
         "identity_tolerance": (FLOAT, 1e-10, None)},
     "fit": {
         "family": (NAME, "affine-noise", ("affine-noise",)),
         "true_theta": (FLOAT_LIST, REQUIRED, None), "init_theta": (FLOAT_LIST, REQUIRED, None),
         "bounds": (MATRIX, None, None), "n_samples": (INT, 200000, ">= 2"),
-        "seed": (INT, 0, None), "bins": (INT, 32, ">= 2"),
+        "seed": (INT, 0, ">= 0"), "bins": (INT, 32, ">= 2"),
         "options": (SECTION, {}, "fit.options"), "ml_check": (SECTION, None, "ml_check")},
     "fit.options": {
         "tol": (FLOAT, 1e-6, None), "max_iters": (INT, 200, ">= 1"),
@@ -50,7 +50,7 @@ SECTIONS = {
         "p_true": (FLOAT, 0.3, None),
         "p_grid": (FLOAT_LIST, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), None),
         "n_samples": (INT, 1000, ">= 1"),
-        "seed": (INT, None, None)},  # none: the fit's seed
+        "seed": (INT, None, ">= 0")},  # none: the fit's seed
     "control": {
         "plant": (SECTION, {}, "plant"), "target": (SECTION, {}, "target"),
         "init": (SECTION, {}, "init"), "options": (SECTION, {}, "control.options")},
@@ -62,7 +62,7 @@ SECTIONS = {
         "theta_s": (FLOAT_LIST, (0.0,), None), "theta_aa": (FLOAT_LIST, (0.0,), None),
         "bounds_s": (MATRIX, ((0.0, 4.0),), None), "bounds_aa": (MATRIX, ((0.0, 1.0),), None)},
     "control.options": {
-        "n_steps": (INT, 4000, None), "transient": (INT, 500, ">= 0"), "seed": (INT, 0, None),
+        "n_steps": (INT, 4000, None), "transient": (INT, 500, ">= 0"), "seed": (INT, 0, ">= 0"),
         "bins": (INT, 8, ">= 2"), "inner_tol": (FLOAT, 1e-6, None),
         "inner_iters": (INT, 40, None), "outer_iters": (INT, 8, ">= 1"),
         "relax_init": (FLOAT, 0.6, None), "relax_decay": (FLOAT, 0.5, None),
@@ -70,11 +70,11 @@ SECTIONS = {
         "reference_edges": (FLOAT_LIST, None, None),  # none: from the uncontrolled rollout
         "initial_step": (FLOAT, 0.05, None), "kl_floor": (FLOAT, 1e-9, None)},
     "fixtures": {
-        "name": (NAME, None, FIXTURES), "n_samples": (INT, 1000, ">= 2"), "seed": (INT, 0, None)},
+        "name": (NAME, None, FIXTURES), "n_samples": (INT, 1000, ">= 2"), "seed": (INT, 0, ">= 0")},
     "system": {
         "kind": (NAME, REQUIRED, KINDS), "parameters": (SECTION, {}, KIND),
         "n_steps": (INT, 10000, ">= 1"), "transient_steps": (INT, 1000, ">= 0"),
-        "seed": (INT, 0, None), "dt": (FLOAT, 1e-3, "finite and > 0")},
+        "seed": (INT, 0, ">= 0"), "dt": (FLOAT, 1e-3, "finite and > 0")},
     "coupled-logistic": {"coupling": (FLOAT, 0.4, None)},
     # Lorenz-96 sites i-2, i-1, i and i+1 must be distinct
     "lorenz96": {"n_sites": (INT, 8, ">= 4"), "forcing": (FLOAT, 8.0, None)},

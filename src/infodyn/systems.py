@@ -164,6 +164,8 @@ def _goy_model(spec: SystemSpec, **overrides):
     p = {**spec.check_parameters(), **overrides}
     n = p["n_shells"]
     cuts = p["cuts"] = np.array(p["cuts"], dtype=int)
+    if cuts.size == 0:
+        raise ValueError("goy-shell.cuts must list at least 1 shell, got []")
     for key, index in [("forced_shell", p["forced_shell"]),
                        *((f"cuts[{i}]", c) for i, c in enumerate(cuts))]:
         if index >= n:
@@ -238,8 +240,10 @@ class LinearPlant:
         x = 0 and a zero sensor history, drawing per step from default_rng(seed)
         the sensor noise (if sensor_noise_std is nonzero), then the process noise.
         A state not finite or beyond `blowup` raises NumericalBlowup at its step."""
-        if not n_steps >= transient >= 0:
-            raise ValueError("need n_steps >= transient >= 0")
+        if transient < 0:
+            raise ValueError(f"transient must be >= 0, got {transient}")
+        if n_steps < transient + 2:  # a trajectory has at least 2 recorded steps
+            raise ValueError(f"n_steps must be >= transient + 2 = {transient + 2}, got {n_steps}")
         rng = np.random.default_rng(seed)
         d = float(np.clip(theta_s, 0.0, self.max_delay))
         lo = int(np.floor(d))

@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infodyn import infocore, modeling
 from infodyn.descent import OptimizationTrace, fd_gradient, minimize
 from infodyn.discretization import PartitionSpec, SymbolSeries, discretize, estimate_joint_pmf
 from infodyn.modeling import (
+    AffineNoise,
     ModelAssessment,
     ModelParams,
     expected_error_lower_bound,
@@ -173,6 +178,46 @@ def test_kl_fit_recovers_location_scale():
     fitted, trace = kl_fit(sim, reference, spec, ModelParams([0.0, 0.5], true.bounds), {"epsilon": 1e-9})
     assert np.abs(fitted.theta - true.theta).max() < 5e-3
     assert trace.converged
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 300), bins=st.integers(2, 400), seed=st.integers(0, 2**16),
+       theta0=st.floats(-3, 3), theta1=st.one_of(st.just(0.0), st.floats(-3, 3)),
+       ties=st.booleans(), on_samples=st.booleans(), lo=st.floats(-8, 8), width=st.floats(0.01, 16))
+def test_affine_noise_counts_are_those_of_binning_every_sample(n, bins, seed, theta0, theta1, ties,
+                                                               on_samples, lo, width):
+    g = np.random.default_rng(seed).standard_normal(n)
+    if ties:
+        g = np.round(g, 1)
+    theta = np.array([theta0, theta1])
+    x = theta[0] + theta[1] * g  # in draw order
+    if on_samples and np.unique(x).size >= 3:  # edges on sample values
+        edges = np.unique(x)[:bins + 1]
+    else:  # edges may lie beyond the samples on either side
+        edges = np.linspace(lo, lo + width, bins + 1)
+    spec = PartitionSpec("explicit-edges", edges=(edges,))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        expected = estimate_joint_pmf(discretize(SignalMatrix(x, ("x",)), spec), [(0, 0)])
+        warned = len(seen)
+        model = AffineNoise(g.copy())
+        pmf = model.pmf(theta, spec)
+    assert len(seen) == 2 * warned  # the same OccupancyWarning, if any
+    dense = np.zeros(len(edges) - 1, dtype=np.int64)
+    dense[expected.codes] = expected.counts
+    assert np.array_equal(model.counts(theta, edges), dense)
+    # == compares dims, codes and probabilities bitwise
+    assert pmf == expected and np.array_equal(pmf.counts, expected.counts)
+
+
+@pytest.mark.parametrize("theta", [[0.5, 1e308], [np.inf, 1.2], [0.0, np.nan]])
+def test_affine_noise_refuses_non_finite_samples(theta):
+    model = AffineNoise(np.random.default_rng(0).standard_normal(100))
+    edges = np.linspace(-3, 3, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        with pytest.raises(ValueError, match="values contain NaN or Inf"):
+            model.counts(theta, edges)
 
 
 def test_ml_equivalence_bernoulli():

@@ -29,7 +29,6 @@ from .control import (
 from .descent import OptimizationTrace
 from .discretization import PartitionSpec, SymbolSeries, discretize, estimate_joint_pmf
 from .infocore import (
-    binned_pmf,
     co_information,
     conditional_entropy,
     conditional_mutual_information,

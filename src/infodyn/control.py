@@ -42,8 +42,6 @@ __all__ = [
 
 EXACT_MI_THRESHOLD = 1e-9
 
-# optimize_controller's options when not given
-CONTROLLER_DEFAULTS = resolve("control.options", {})
 # histogram objectives are piecewise constant at fine scales: the
 # finite-difference step must exceed the bin-crossing granularity
 FD_STEP = 0.05
@@ -84,9 +82,9 @@ class ControllerParams:
 @dataclass(frozen=True)
 class ControlTarget:
     """Desired first and second moments of the target variable, plus the
-    relaxation factors blending them with the current moments; factors left
-    at None take their defaults from the parameter table, which checks the
-    others."""
+    relaxation factors blending them with the current moments, from which
+    the controller search starts; factors left at None take their defaults
+    from the parameter table, which checks the others."""
 
     mu_target: np.ndarray
     sigma_target: np.ndarray
@@ -238,9 +236,17 @@ def noisy_observability_bound(joint: JointPMF) -> float:
 # ---------------------------------------------------------------------------
 # auxiliary target and controller optimization
 
-def build_auxiliary_target(samples: SignalMatrix, target: ControlTarget, relax=None, reference_edges=None) -> JointPMF:
+def _binned(samples: SignalMatrix, edges) -> JointPMF:
+    """Joint PMF of the samples on explicit edges, one edge array per
+    column; out-of-range samples fall into the end cells."""
+    spec = PartitionSpec("explicit-edges", edges=tuple(np.asarray(e, dtype=float) for e in edges))
+    symbols = discretize(samples, spec)
+    return estimate_joint_pmf(symbols, [(v, 0) for v in range(symbols.n_variables)])
+
+
+def build_auxiliary_target(samples: SignalMatrix, target: ControlTarget, relax, reference_edges) -> JointPMF:
     """PMF of the moment-corrected target J_hat = Gamma J + b on the
-    reference partition.
+    reference partition (one edge array, or one per column).
 
     Gamma and b rescale the current samples of the target variable so
     their mean and variance match the relaxed targets
@@ -248,7 +254,7 @@ def build_auxiliary_target(samples: SignalMatrix, target: ControlTarget, relax=N
     at xi = 1 the auxiliary target is the current distribution, at the
     xi -> 0 floor it is fully moment-matched to the desired one.
     """
-    xi_mu, xi_sigma = relax if relax is not None else (target.relax_mu, target.relax_sigma)
+    xi_mu, xi_sigma = relax
     x = samples.values
     if x.shape[1] != target.mu_target.size:
         raise ValueError("sample dimension does not match target moments")
@@ -261,12 +267,8 @@ def build_auxiliary_target(samples: SignalMatrix, target: ControlTarget, relax=N
     gamma = np.sqrt(np.divide(var_rel, var_hat, out=np.ones_like(var_rel), where=var_hat > 0))
     b = mu_rel - gamma * mu_hat
     transformed = x * gamma + b
-    if reference_edges is None:
-        raise ValueError("reference_edges required to place the auxiliary PMF on a partition")
     edges = reference_edges if isinstance(reference_edges, (tuple, list)) else (reference_edges,)
-    spec = PartitionSpec("explicit-edges", edges=tuple(np.asarray(e, dtype=float) for e in edges))
-    symbols = discretize(SignalMatrix(transformed, samples.names, samples.dt), spec)
-    return estimate_joint_pmf(symbols, [(v, 0) for v in range(symbols.n_variables)])
+    return _binned(SignalMatrix(transformed, samples.names, samples.dt), edges)
 
 
 def rollout(plant, params: ControllerParams, n_steps: int, transient: int, seed: int) -> SignalMatrix:
@@ -287,26 +289,17 @@ def padded_edges(uncontrolled: SignalMatrix, bins: int) -> np.ndarray:
     return np.linspace(j.min() - 0.1 * span, j.max() + 0.1 * span, bins + 1)
 
 
-def kl_objective(plant, params: ControllerParams, target: ControlTarget, relax, reference_edges,
-                 n_steps: int = CONTROLLER_DEFAULTS["n_steps"],
-                 transient: int = CONTROLLER_DEFAULTS["transient"],
-                 seed: int = CONTROLLER_DEFAULTS["seed"],
-                 kl_floor: float = CONTROLLER_DEFAULTS["kl_floor"]) -> float:
-    """KL(p(J), p(J_hat)) for one closed-loop rollout: the distance between
+def kl_objective(traj: SignalMatrix, target: ControlTarget, relax, reference_edges,
+                 kl_floor: float) -> float:
+    """KL(p(J), p(J_hat)) of a closed-loop trajectory: the distance between
     the achieved target-state distribution and its moment-corrected
-    auxiliary, both binned on the reference partition. This exact function
-    is what optimize_controller descends and what a grid-search oracle
-    should evaluate.
+    auxiliary at relaxation `relax`, both binned on the reference edges,
+    with q's empty cells floored at kl_floor. optimize_controller descends
+    it over rollouts; a grid-search oracle composes it with rollout alike.
     """
-    return _trajectory_kl(rollout(plant, params, n_steps, transient, seed), target, relax,
-                          reference_edges, kl_floor)
-
-
-def _trajectory_kl(traj, target, relax, reference_edges, kl_floor):
-    edges = np.asarray(reference_edges, dtype=float)
-    p_j = infocore.binned_pmf(traj.column("J"), edges)
-    aux = build_auxiliary_target(traj.select(["J"]), target, relax, edges)
-    return infocore.kl_divergence(p_j, aux, epsilon=kl_floor)
+    j, edges = traj.select(["J"]), np.asarray(reference_edges, dtype=float)
+    p_j = _binned(j, (edges,))
+    return infocore.kl_divergence(p_j, build_auxiliary_target(j, target, relax, edges), epsilon=kl_floor)
 
 
 def _mi_objective(traj, bins, pair):
@@ -324,7 +317,9 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
     Per outer iteration: (1) holding theta_aa fixed, ascend the sensor
     information I(J;S) over theta_s; (2) holding it fixed, descend the KL
     objective over theta_aa; (3) tighten the relaxation factors toward the
-    floor. The outer loop stops when the accepted KL stops decreasing.
+    floor. The relaxation starts at the target's (relax_mu, relax_sigma)
+    and is multiplied by relax_decay each iteration, down to relax_floor.
+    The outer loop stops when the accepted KL stops decreasing.
     Plant failures reject the iterate and contract the actuator bounds
     toward the last good point. The parameter table checks and defaults
     `options`. Returns (best ControllerParams, OptimizationTrace).
@@ -335,12 +330,11 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
         edges = padded_edges(rollout(plant, init.replace(theta_aa=np.zeros_like(init.theta_aa)),
                                         opts["n_steps"], opts["transient"], opts["seed"]),
                                 opts["bins"])
-    edges = np.asarray(edges, dtype=float)
 
     trace = OptimizationTrace()
     current = init
     bounds_aa = None if init.bounds_aa is None else init.bounds_aa.copy()
-    relax = (opts["relax_init"], opts["relax_init"])
+    relax = (target.relax_mu, target.relax_sigma)
     best_params, best_kl = current, np.inf
     last_accepted = np.inf
 
@@ -350,10 +344,9 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
     for outer in range(opts["outer_iters"]):
         # step 1: information ascent of the sensing block, I(J;S)
         theta_s, _, _ = minimize(
-            lambda t: _mi_objective(run(current.replace(theta_s=t)), opts["bins"], (0, 1)),
+            lambda t: -_mi_objective(run(current.replace(theta_s=t)), opts["bins"], (0, 1)),
             current.theta_s, bounds=current.bounds_s, tol=opts["inner_tol"],
-            max_iters=opts["inner_iters"], initial_step=opts["initial_step"], sign=-1.0,
-            fd_step=FD_STEP)
+            max_iters=opts["inner_iters"], initial_step=opts["initial_step"], fd_step=FD_STEP)
         current = current.replace(theta_s=theta_s)
 
         # step 2: KL descent of the active actuation block
@@ -362,13 +355,13 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
         def aa_objective(t):
             nonlocal failure
             try:
-                return _trajectory_kl(run(current.replace(theta_aa=t, bounds_aa=bounds_aa)),
-                                      target, relax, edges, opts["kl_floor"])
+                return kl_objective(run(current.replace(theta_aa=t, bounds_aa=bounds_aa)),
+                                    target, relax, edges, opts["kl_floor"])
             except NumericalBlowup:
                 failure = True
                 return 1e6  # rejected iterate; bounds contracted below
 
-        theta_aa, kl_val, _ = minimize(
+        theta_aa, _, _ = minimize(
             aa_objective, current.theta_aa, bounds=bounds_aa, tol=opts["inner_tol"],
             max_iters=opts["inner_iters"], initial_step=opts["initial_step"],
             fd_step=FD_STEP)
@@ -382,7 +375,7 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
         current = current.replace(theta_aa=theta_aa, bounds_aa=bounds_aa)
 
         traj = run(current)  # one rollout for the iteration's record
-        kl_now = _trajectory_kl(traj, target, relax, edges, opts["kl_floor"])
+        kl_now = kl_objective(traj, target, relax, edges, opts["kl_floor"])
         obs_mi = _mi_objective(traj, opts["bins"], (0, 1))
         ctrl_mi = _mi_objective(traj, opts["bins"], (0, 2))
         accepted = kl_now < last_accepted

@@ -110,14 +110,11 @@ def minimize(
     tol: float = 1e-6,
     max_iters: int = 200,
     initial_step: float = 0.05,
-    trace: OptimizationTrace | None = None,
-    sign: float = 1.0,
     fd_step: float = 1e-4,
 ):
-    """Minimize f (or maximize with sign=-1) from theta0 within bounds.
+    """Minimize f from theta0 within bounds; to maximize, pass -f.
 
-    Returns (best_theta, best_value, trace). Values recorded in the trace
-    are of the minimized objective sign*f. Stops when the evaluated
+    Returns (best_theta, best_value, trace). Stops when the evaluated
     objective improves by less than tol between consecutive iterations
     (converged), the gradient vanishes, or max_iters is reached. A vanished
     gradient is convergence only when every bound interval has zero width:
@@ -125,14 +122,12 @@ def minimize(
     evaluated within the bounds (see fd_gradient).
     """
     theta = _project(np.asarray(theta0, dtype=float).copy(), bounds)
-    if trace is None:
-        trace = OptimizationTrace()
-    obj = lambda t: sign * f(t)
+    trace = OptimizationTrace()
     prev_theta = prev_grad = None
     best_theta, best_val = theta.copy(), np.inf
     last_val = None
     for it in range(max_iters):
-        val, grad = fd_gradient(obj, theta, fd_step=fd_step, bounds=bounds)
+        val, grad = fd_gradient(f, theta, fd_step=fd_step, bounds=bounds)
         if val < best_val:
             best_val, best_theta = val, theta.copy()
         gnorm = float(np.linalg.norm(grad))

@@ -12,9 +12,7 @@ import warnings
 
 import numpy as np
 
-from .discretization import PartitionSpec, discretize, estimate_joint_pmf
 from .pmf import JointPMF, marginalize
-from .signals import SignalMatrix
 
 __all__ = [
     "entropy",
@@ -24,7 +22,6 @@ __all__ = [
     "co_information",
     "kl_divergence",
     "cross_entropy",
-    "binned_pmf",
 ]
 
 
@@ -132,11 +129,3 @@ def cross_entropy(p: JointPMF, q: JointPMF, epsilon: float | None = None) -> flo
     kl = kl_divergence(p, q, epsilon)
     return entropy(p) + kl
 
-
-def binned_pmf(x: np.ndarray, edges: np.ndarray) -> JointPMF:
-    """Histogram PMF of a real sample on explicit edges.
-
-    Out-of-range samples are clipped into the end bins so mass totals 1.
-    """
-    spec = PartitionSpec("explicit-edges", edges=(np.asarray(edges, dtype=float),))
-    return estimate_joint_pmf(discretize(SignalMatrix(x, ("x",)), spec), [(0, 0)])

@@ -44,8 +44,8 @@ SECTIONS = {
         "seed": (INT, 0, ">= 0"), "bins": (INT, 32, ">= 2"),
         "options": (SECTION, {}, "fit.options"), "ml_check": (SECTION, None, "ml_check")},
     "fit.options": {
-        "tol": (FLOAT, 1e-6, None), "max_iters": (INT, 200, ">= 1"),
-        "epsilon": (FLOAT, 1e-9, None), "initial_step": (FLOAT, 0.05, None)},
+        "tol": (FLOAT, 1e-6, ">= 0"), "max_iters": (INT, 200, ">= 1"),
+        "epsilon": (FLOAT, 1e-9, "> 0"), "initial_step": (FLOAT, 0.05, "> 0")},
     "ml_check": {
         "p_true": (FLOAT, 0.3, None),
         "p_grid": (FLOAT_LIST, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), None),
@@ -63,12 +63,12 @@ SECTIONS = {
         "bounds_s": (MATRIX, ((0.0, 4.0),), None), "bounds_aa": (MATRIX, ((0.0, 1.0),), None)},
     "control.options": {
         "n_steps": (INT, 4000, None), "transient": (INT, 500, ">= 0"), "seed": (INT, 0, ">= 0"),
-        "bins": (INT, 8, ">= 2"), "inner_tol": (FLOAT, 1e-6, None),
-        "inner_iters": (INT, 40, None), "outer_iters": (INT, 8, ">= 1"),
-        "relax_init": (FLOAT, 0.6, None), "relax_decay": (FLOAT, 0.5, None),
-        "relax_floor": (FLOAT, 1e-3, None),
+        "bins": (INT, 8, ">= 2"), "inner_tol": (FLOAT, 1e-6, ">= 0"),
+        "inner_iters": (INT, 40, ">= 1"), "outer_iters": (INT, 8, ">= 1"),
+        # the search starts from the target's relaxation and tightens it
+        "relax_decay": (FLOAT, 0.5, "> 0 and <= 1"), "relax_floor": (FLOAT, 1e-3, "> 0 and <= 1"),
         "reference_edges": (FLOAT_LIST, None, None),  # none: from the uncontrolled rollout
-        "initial_step": (FLOAT, 0.05, None), "kl_floor": (FLOAT, 1e-9, None)},
+        "initial_step": (FLOAT, 0.05, "> 0"), "kl_floor": (FLOAT, 1e-9, "> 0")},
     "fixtures": {
         "name": (NAME, None, FIXTURES), "n_samples": (INT, 1000, ">= 2"), "seed": (INT, 0, ">= 0")},
     "system": {

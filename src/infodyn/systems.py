@@ -22,6 +22,7 @@ from .signals import SignalMatrix
 
 __all__ = [
     "SystemSpec",
+    "NumericalBlowup",
     "LinearPlant",
     "simulate",
     "symbolic_map_suite",
@@ -49,9 +50,9 @@ class SystemSpec:
         for k, v in params.resolve("system", given).items():
             if k in fields:
                 object.__setattr__(self, k, v)
-        if not self.n_steps > self.transient_steps:
-            raise ValueError(f"system.n_steps must be > transient_steps = {self.transient_steps}, "
-                             f"got {self.n_steps}")
+        if self.n_steps < self.transient_steps + 2:  # a run records at least 2 samples
+            raise ValueError(f"system.n_steps must be >= transient_steps + 2 = "
+                             f"{self.transient_steps + 2}, got {self.n_steps}")
 
     def check_parameters(self) -> dict:
         """The parameters laid over this kind's defaults. A key the kind does
@@ -187,14 +188,17 @@ def _goy_model(spec: SystemSpec, **overrides):
 
 def _goy_run(spec: SystemSpec) -> SignalMatrix:
     p, step, nonlinear, u0 = _goy_model(spec)
-    cuts = p["cuts"]
+    cuts, sample_every = p["cuts"], p["sample_every"]
+    most = (spec.n_steps - spec.transient_steps) // 2  # the run keeps at least 2 samples
+    if sample_every > most:
+        raise ValueError(f"goy-shell.sample_every must be <= (n_steps - transient_steps) // 2 = "
+                         f"{most}, got {sample_every}")
 
     def flux(u):
         # energy flux through each cut: net rate at which the nonlinear
         # term drains energy from the shells at and below the cut index
         return -np.cumsum(2.0 * np.real(np.conj(u) * nonlinear(u)))[cuts]
 
-    sample_every = p["sample_every"]
     rows, _ = _integrate(step, u0, spec, flux, sample_every)
     # exponential smoothing stands in for a volume average over the
     # observation region; alpha derived from the declared smoothing time

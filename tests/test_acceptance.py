@@ -286,8 +286,8 @@ def test_12_controller_search_matches_grid():
     for s in s_grid:
         for b in b_grid:
             try:
-                v = kl_objective(plant, init.replace(theta_s=[s], theta_aa=[b]),
-                                 target, (0.6, 0.6), edges)
+                traj = rollout(plant, init.replace(theta_s=[s], theta_aa=[b]), 4000, 500, 0)
+                v = kl_objective(traj, target, (0.6, 0.6), edges, 1e-9)
             except NumericalBlowup:
                 v = 1e6
             if v < grid_best[0]:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import logging
@@ -228,6 +229,43 @@ FIT = {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8], "n_samples": 1000}
     # "need at least 1 variable"
     pytest.param("simulate", {"system": {"kind": "goy-shell", "parameters": {"cuts": []}}},
                  "goy-shell.cuts must list at least 1 shell, got []", id="goy-shell no cuts"),
+    # a zero or negative KL floor divided by zero: fit ended in "values
+    # contain NaN or Inf", control in a blow-up at step 1 (exit 4)
+    pytest.param("fit", {**FIT, "options": {"epsilon": 0}}, "options.epsilon must be > 0, got 0.0",
+                 id="fit epsilon 0"),
+    pytest.param("fit", {**FIT, "options": {"epsilon": -1}}, "options.epsilon must be > 0, got -1.0",
+                 id="fit epsilon -1"),
+    pytest.param("control", {"options": {"kl_floor": 0}}, "options.kl_floor must be > 0, got 0.0",
+                 id="control kl_floor 0"),
+    pytest.param("control", {"options": {"kl_floor": -1}}, "options.kl_floor must be > 0, got -1.0",
+                 id="control kl_floor -1"),
+    # each exited 0: no step at all, an uphill first step, a negative relaxation
+    pytest.param("control", {"options": {"inner_iters": -3}}, "options.inner_iters must be >= 1, got -3",
+                 id="control inner_iters -3"),
+    pytest.param("control", {"options": {"initial_step": -1}},
+                 "options.initial_step must be > 0, got -1.0", id="control initial_step -1"),
+    pytest.param("fit", {**FIT, "options": {"initial_step": -1}},
+                 "options.initial_step must be > 0, got -1.0", id="fit initial_step -1"),
+    pytest.param("control", {"options": {"relax_decay": -2}},
+                 "options.relax_decay must be > 0 and <= 1, got -2.0", id="control relax_decay -2"),
+    pytest.param("control", {"options": {"relax_floor": -1}},
+                 "options.relax_floor must be > 0 and <= 1, got -1.0", id="control relax_floor -1"),
+    # the search starts from target.relax_mu and target.relax_sigma
+    pytest.param("control", {"options": {"relax_init": 5.0}},
+                 "options.relax_init is not a known key; known: n_steps, transient, seed, bins, "
+                 "inner_tol, inner_iters, outer_iters, relax_decay, relax_floor, reference_edges, "
+                 "initial_step, kl_floor", id="control relax_init"),
+    # each was "need at least 2 time samples", naming no key
+    pytest.param("simulate", {"system": {"kind": "lorenz96", "n_steps": 101, "transient_steps": 100}},
+                 "system.n_steps must be >= transient_steps + 2 = 102, got 101",
+                 id="lorenz96 one sample"),
+    pytest.param("simulate", {"system": {"kind": "goy-shell", "n_steps": 109, "transient_steps": 100}},
+                 "goy-shell.sample_every must be <= (n_steps - transient_steps) // 2 = 4, got 5",
+                 id="goy-shell one sample"),
+    pytest.param("simulate", {"system": {"kind": "goy-shell", "n_steps": 1000, "transient_steps": 0,
+                                         "parameters": {"sample_every": 999}}},
+                 "goy-shell.sample_every must be <= (n_steps - transient_steps) // 2 = 500, got 999",
+                 id="goy-shell sample_every 999"),
 ])
 def test_refuses_a_bad_field_in_one_line_naming_it(tmp_path, capsys, command, config, message):
     code, _ = run(tmp_path, command, config)
@@ -569,6 +607,18 @@ def test_control_rolls_out_the_uncontrolled_plant_once(tmp_path, monkeypatch):
                     "inner_iters": 2}})
     assert code == 0
     assert gains[0] == [0.0] and [0.0] not in gains[1:]
+
+
+def test_control_search_starts_from_the_target_relaxation(tmp_path):
+    options = {"n_steps": 1000, "transient": 200}
+    traces = []
+    for name, target in (("default", {}), ("relaxed", {"relax_mu": 0.05, "relax_sigma": 1.0})):
+        code, out = run(tmp_path, "control", {"target": target, "options": options}, out=name)
+        assert code == 0
+        traces.append((out / "trace.csv").read_text())
+    first = next(csv.DictReader(io.StringIO(traces[1])))
+    assert first["relax"] == "(0.05, 1.0)"
+    assert traces[0] != traces[1]
 
 
 def test_control_options_must_be_integers(tmp_path, capsys):

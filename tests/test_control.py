@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infodyn import control, infocore
+from infodyn import control
 from infodyn.control import (
     ControllerParams,
     ControlTarget,
@@ -16,6 +16,7 @@ from infodyn.control import (
     observability,
     rollout,
 )
+from infodyn.discretization import PartitionSpec, discretize, estimate_joint_pmf
 from infodyn.pmf import JointPMF
 from infodyn.signals import SignalMatrix
 from infodyn.systems import LinearPlant
@@ -142,7 +143,8 @@ def test_build_auxiliary_target_full_relaxation_is_identity():
     edges = np.linspace(-5, 5, 9)
     target = ControlTarget([3.0], [[0.01]])
     aux = build_auxiliary_target(sig, target, relax=(1.0, 1.0), reference_edges=edges)
-    direct = infocore.binned_pmf(x[:, 0], edges)
+    direct = estimate_joint_pmf(discretize(sig, PartitionSpec("explicit-edges", edges=(edges,))),
+                                [(0, 0)])
     assert np.allclose(aux.to_dense(), direct.to_dense())
 
 
@@ -183,8 +185,8 @@ def test_kl_objective_deterministic():
     params = ControllerParams(theta_s=[0.0], theta_aa=[0.3])
     target = ControlTarget([0.0], [[0.25]])
     edges = np.linspace(-5, 5, 9)
-    a = kl_objective(plant, params, target, (0.6, 0.6), edges, n_steps=1000, transient=200)
-    b = kl_objective(plant, params, target, (0.6, 0.6), edges, n_steps=1000, transient=200)
+    a = kl_objective(rollout(plant, params, 1000, 200, 0), target, (0.6, 0.6), edges, 1e-9)
+    b = kl_objective(rollout(plant, params, 1000, 200, 0), target, (0.6, 0.6), edges, 1e-9)
     assert a == b
     assert a >= 0
 

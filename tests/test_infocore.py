@@ -149,13 +149,6 @@ def test_cross_entropy_identity():
         infocore.entropy(p) + infocore.kl_divergence(p, q), abs=1e-12)
 
 
-def test_binned_pmf_clips_and_normalizes():
-    edges = np.array([0.0, 1.0, 2.0])
-    pmf = infocore.binned_pmf(np.array([-3.0, 0.5, 1.5, 8.0]), edges)
-    assert pmf.prob((0,)) == pytest.approx(0.5)
-    assert pmf.prob((1,)) == pytest.approx(0.5)
-
-
 def dict_kl(p, q, epsilon=None):
     """Oracle: KL(p||q) with q aligned to p's rows through a dict."""
     q_map = {tuple(row): float(m) for row, m in zip(q.indices, q.probs)}

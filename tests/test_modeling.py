@@ -148,12 +148,6 @@ def test_kl_fit_passes_only_the_given_search_options(monkeypatch):
                      {"bounds": None, "tol": 1e-3, "max_iters": 5, "initial_step": 0.1}]
 
 
-def test_minimize_maximization_sign():
-    f = lambda t: float(-(t[0] - 1.5) ** 2)
-    theta, _, _ = minimize(f, [0.0], sign=-1.0, tol=1e-10)
-    assert theta[0] == pytest.approx(1.5, abs=1e-3)
-
-
 def test_trace_csv_roundtrip(tmp_path):
     trace = OptimizationTrace()
     trace.add(iteration=0, value=1.0, theta=np.array([0.5]), step=0.1)

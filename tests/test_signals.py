@@ -123,6 +123,14 @@ def test_explicit_edges_clip_out_of_range():
     assert np.array_equal(sym.codes[:, 0], [0, 0, 1, 1])
 
 
+def test_explicit_edges_pmf_clips_and_normalizes():
+    spec = PartitionSpec("explicit-edges", edges=(np.array([0.0, 1.0, 2.0]),))
+    sig = SignalMatrix(np.array([-3.0, 0.5, 1.5, 8.0]), ("x",))
+    pmf = estimate_joint_pmf(discretize(sig, spec), [(0, 0)])
+    assert pmf.prob((0,)) == pytest.approx(0.5)
+    assert pmf.prob((1,)) == pytest.approx(0.5)
+
+
 def test_partition_spec_validation():
     with pytest.raises(ValueError, match="unknown scheme"):
         PartitionSpec("nope")

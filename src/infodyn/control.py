@@ -60,6 +60,8 @@ class ControllerParams:
     def __post_init__(self):
         for block, bounds in (("theta_s", "bounds_s"), ("theta_aa", "bounds_aa")):
             t = np.asarray(getattr(self, block), dtype=float).reshape(-1)
+            if not np.all(np.isfinite(t)):  # bounds may be infinite, the parameters not
+                raise ValueError(f"{block} must be finite, got {t.tolist()}")
             b = getattr(self, bounds)
             if b is not None:
                 b = np.asarray(b, dtype=float).reshape(-1, 2)
@@ -246,7 +248,8 @@ def _binned(samples: SignalMatrix, edges) -> JointPMF:
 
 def build_auxiliary_target(samples: SignalMatrix, target: ControlTarget, relax, reference_edges) -> JointPMF:
     """PMF of the moment-corrected target J_hat = Gamma J + b on the
-    reference partition (one edge array, or one per column).
+    reference partition: one edge array (an array or a list), or a tuple of
+    one per column.
 
     Gamma and b rescale the current samples of the target variable so
     their mean and variance match the relaxed targets
@@ -267,7 +270,7 @@ def build_auxiliary_target(samples: SignalMatrix, target: ControlTarget, relax, 
     gamma = np.sqrt(np.divide(var_rel, var_hat, out=np.ones_like(var_rel), where=var_hat > 0))
     b = mu_rel - gamma * mu_hat
     transformed = x * gamma + b
-    edges = reference_edges if isinstance(reference_edges, (tuple, list)) else (reference_edges,)
+    edges = reference_edges if isinstance(reference_edges, tuple) else (reference_edges,)
     return _binned(SignalMatrix(transformed, samples.names, samples.dt), edges)
 
 

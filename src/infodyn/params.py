@@ -27,8 +27,9 @@ KINDS = ("coupled-logistic", "lorenz96", "goy-shell", "linear-plant", "symbolic-
 FIXTURES = ("markov_pair", "noise_target", "redundant_pair", "rotation4", "rotation_pair", "xor")
 SCHEMES = ("equiprobable-quantile", "uniform-width", "explicit-edges")
 
-PLANT = {"a": (FLOAT, 0.9, None), "noise_std": (FLOAT, 0.5, ">= 0"),
-         "sensor_noise_std": (FLOAT, 0.1, ">= 0"), "max_delay": (FLOAT, 4.0, ">= 0")}
+PLANT = {"a": (FLOAT, 0.9, "finite"), "noise_std": (FLOAT, 0.5, "finite and >= 0"),
+         "sensor_noise_std": (FLOAT, 0.1, "finite and >= 0"),
+         "max_delay": (FLOAT, 4.0, "finite and >= 0")}
 
 SECTIONS = {
     "simulate": {"system": (SECTION, REQUIRED, "system")},

@@ -9,9 +9,10 @@ known joint PMFs.
 
 from __future__ import annotations
 
-import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -222,7 +223,7 @@ def goy_total_energy_drift(spec: SystemSpec) -> float:
 # ---------------------------------------------------------------------------
 # noisy linear plant with a delayed sensor
 
-NOISE_BLOCK = 4096  # steps of noise per draw in closed_loop, bounding its working set
+NOISE_BLOCK = 4096  # steps per noise draw and blow-up check in closed_loop, bounding its working set
 
 
 class LinearPlant:
@@ -243,7 +244,8 @@ class LinearPlant:
         """Rows (x, S, A) of steps transient..n_steps-1 under A = -gain * S from
         x = 0 and a zero sensor history, drawing per step from default_rng(seed)
         the sensor noise (if sensor_noise_std is nonzero), then the process noise.
-        A state not finite or beyond `blowup` raises NumericalBlowup at its step."""
+        A state not finite or beyond `blowup` raises NumericalBlowup at its step.
+        The loop steps x alone; S and A follow in NumPy by the same operations."""
         if transient < 0:
             raise ValueError(f"transient must be >= 0, got {transient}")
         if n_steps < transient + 2:  # a trajectory has at least 2 recorded steps
@@ -252,28 +254,35 @@ class LinearPlant:
         d = float(np.clip(theta_s, 0.0, self.max_delay))
         lo = int(np.floor(d))
         frac = d - lo
-        history = [0.0] * (int(np.ceil(self.max_delay)) + 2)
-        x = 0.0
-        rows = np.empty(3 * n_steps)
+        a, ng, c0 = self.a, -gain, 1 - frac  # (-g) * s is bitwise -(g * s)
+        # xs: lag + 1 zeros, then step n's x at n + lag. Step n senses h0 = xs[n], read
+        # live by `sensed` (zipped after the range, which ends each block first), and
+        # h1 = xs[n - 1]. A delay past the run senses only zeros.
+        lag = min(lo, n_steps) + 1
+        xs = array("d", bytes(8 * (lag + 1 + n_steps)))
+        x_all, sensed = np.frombuffer(xs), iter(xs)
+        next(sensed)
+        rows = np.zeros((n_steps, 3))
+        x = h1 = 0.0
         for start in range(0, n_steps, NOISE_BLOCK):
-            m = min(NOISE_BLOCK, n_steps - start)
+            stop = min(start + NOISE_BLOCK, n_steps)
             if self.sensor_noise_std:  # per step: sensor, then process noise
-                scale = (self.sensor_noise_std, self.noise_std)
-                vs, ws = rng.normal(0.0, scale, size=(m, 2)).T.tolist()
+                vw = rng.normal(0.0, (self.sensor_noise_std, self.noise_std), size=(stop - start, 2))
+                rows[start:stop, 1] = vw[:, 0]
+                vs, ws = vw.T.tolist()
             else:
-                vs, ws = [0.0] * m, rng.normal(0.0, self.noise_std, size=m).tolist()
-            block = []
-            for n, (v, w) in enumerate(zip(vs, ws), start + 1):
-                s = (1 - frac) * history[lo] + frac * history[lo + 1] + v
-                act = -gain * s
-                x = self.a * x + act + w
-                if not math.isfinite(x) or abs(x) > self.blowup:
-                    raise NumericalBlowup(n, "linear-plant")
-                history.insert(0, x)
-                history.pop()
-                block += (x, s, act)
-            rows[3 * start:3 * (start + m)] = block
-        return rows.reshape(n_steps, 3)[transient:]
+                vs, ws = repeat(0.0), rng.normal(0.0, self.noise_std, size=stop - start).tolist()
+            for j, h0, v, w in zip(range(start + lag + 1, stop + lag + 1), sensed, vs, ws):
+                x = a * x + ng * (c0 * h0 + frac * h1 + v) + w
+                xs[j] = x
+                h1 = h0
+            bad = np.flatnonzero(~(np.abs(x_all[start + lag + 1:stop + lag + 1]) <= self.blowup))
+            if bad.size:
+                raise NumericalBlowup(start + int(bad[0]) + 1, "linear-plant")
+        rows[:, 0] = x_all[lag + 1:]
+        rows[:, 1] += c0 * x_all[1:n_steps + 1] + frac * x_all[:n_steps]
+        np.multiply(ng, rows[:, 1], out=rows[:, 2])
+        return rows[transient:]
 
 
 def simulate(spec: SystemSpec) -> SignalMatrix:

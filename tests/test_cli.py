@@ -206,7 +206,7 @@ FIT = {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8], "n_samples": 1000}
     ("simulate", {"system": {"kind": "goy-shell", "parameters": {"eps": [1, 2]}}},
      "goy-shell.eps must be a number, got [1, 2]"),
     ("simulate", {"system": {"kind": "linear-plant", "parameters": {"noise_std": -1}}},
-     "linear-plant.noise_std must be >= 0, got -1.0"),
+     "linear-plant.noise_std must be finite and >= 0, got -1.0"),
     ("causality", {"input": "x.csv", "identity_tolerance": "x"},
      "identity_tolerance must be a number, got 'x'"),
     # read by nothing, now unknown
@@ -266,6 +266,26 @@ FIT = {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8], "n_samples": 1000}
                                          "parameters": {"sample_every": 999}}},
                  "goy-shell.sample_every must be <= (n_steps - transient_steps) // 2 = 500, got 999",
                  id="goy-shell sample_every 999"),
+    # an infinite max_delay was an exit 1 with an OverflowError traceback
+    pytest.param("control", {"plant": {"max_delay": math.inf}},
+                 "plant.max_delay must be finite and >= 0, got inf", id="control max_delay inf"),
+    pytest.param("simulate", {"system": {"kind": "linear-plant", "parameters": {"max_delay": math.inf}}},
+                 "linear-plant.max_delay must be finite and >= 0, got inf", id="linear-plant max_delay inf"),
+    # each was an exit 4 with a blow-up at step 1
+    pytest.param("control", {"plant": {"a": math.nan}}, "plant.a must be finite, got nan",
+                 id="control plant a nan"),
+    pytest.param("control", {"plant": {"noise_std": math.inf}},
+                 "plant.noise_std must be finite and >= 0, got inf", id="control noise_std inf"),
+    pytest.param("simulate", {"system": {"kind": "linear-plant",
+                                         "parameters": {"sensor_noise_std": math.inf}}},
+                 "linear-plant.sensor_noise_std must be finite and >= 0, got inf",
+                 id="linear-plant sensor_noise_std inf"),
+    # was "cannot convert float NaN to integer", naming no key
+    pytest.param("control", {"init": {"theta_s": [math.nan]}}, "theta_s must be finite, got [nan]",
+                 id="control theta_s nan"),
+    # was an exit 4 with a blow-up at step 1
+    pytest.param("control", {"init": {"theta_aa": [math.nan]}}, "theta_aa must be finite, got [nan]",
+                 id="control theta_aa nan"),
 ])
 def test_refuses_a_bad_field_in_one_line_naming_it(tmp_path, capsys, command, config, message):
     code, _ = run(tmp_path, command, config)
@@ -477,7 +497,7 @@ def test_fixtures_refuses_out_of_range_sample_counts(tmp_path, capsys, n_samples
      "lorenz96.n_sites must be >= 4, got -3"),
     ("system14-linear-plant max_delay -3.0 is not >= 0",
      {"kind": "linear-plant", "parameters": {"max_delay": -3}},
-     "linear-plant.max_delay must be >= 0, got -3.0"),
+     "linear-plant.max_delay must be finite and >= 0, got -3.0"),
     # a Lorenz-96 dt of -1 blew up at step 100 (exit 4), and "nan" at step 0
     ("system15-dt must be finite and > 0, got -1.0", {"kind": "lorenz96", "dt": -1},
      "system.dt must be finite and > 0, got -1.0"),

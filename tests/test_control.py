@@ -163,6 +163,16 @@ def test_build_auxiliary_target_moment_match_at_floor():
     assert var == pytest.approx(0.25, abs=0.05)
 
 
+def test_build_auxiliary_target_reads_a_list_as_one_edge_array():
+    # a list was read as one edge array per column: "each edge list needs at least 2 bins"
+    sig = SignalMatrix(np.random.default_rng(3).standard_normal((500, 1)), ("J",))
+    target = ControlTarget([0.0], [[0.25]])
+    edges = [-3.0, -1.0, 0.0, 1.0, 3.0]
+    from_list, from_array = (build_auxiliary_target(sig, target, (0.6, 0.6), e)
+                             for e in (edges, np.array(edges)))
+    assert np.array_equal(from_list.to_dense(), from_array.to_dense())
+
+
 def test_build_auxiliary_target_degenerate_rescale():
     sig = SignalMatrix(np.ones((100, 1)) + np.zeros((100, 1)), ("J",))
     target = ControlTarget([0.0], [[1.0]])

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infodyn.control import ControllerParams, rollout
 from infodyn.params import KINDS, SECTIONS, resolve
@@ -366,6 +368,24 @@ def test_closed_loop_blowup_matches_stepped_loop():
     # an unstable loop early on, and an unstable plant past the first block
     assert _assert_loops_agree({}, 2.0, 1.7, 2000, 100, 2) < 100
     assert _assert_loops_agree({"a": 1.004}, 0.0, 0.0, 2 * NOISE_BLOCK, 0, 1) > NOISE_BLOCK
+
+
+@settings(max_examples=150, deadline=None)
+@given(plant_kw=st.fixed_dictionaries({
+           "a": st.sampled_from([0.9, -0.5, 1.0, 1.004]),
+           "noise_std": st.sampled_from([0.5, 0.0]),
+           "sensor_noise_std": st.sampled_from([0.1, 0.0]),
+           "max_delay": st.floats(0.0, 6.0),  # 0, integral or fractional
+           "blowup": st.sampled_from([1e9, 1e3])}),
+       gain=st.floats(-1.5, 3.0),  # unstable at either end
+       theta_s=st.floats(-2.0, 8.0),  # negative, integral, fractional, beyond max_delay
+       # short runs, and runs across one or two block ends
+       n_steps=st.integers(2, 300) | st.integers(NOISE_BLOCK - 2, 2 * NOISE_BLOCK + 50),
+       data=st.data())
+def test_closed_loop_matches_stepped_loop_on_any_draw(plant_kw, gain, theta_s, n_steps, data):
+    transient = data.draw(st.integers(0, n_steps - 2), label="transient")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    _assert_loops_agree(plant_kw, gain, theta_s, n_steps, transient, seed)
 
 
 def test_linear_plant_blowup_threshold():

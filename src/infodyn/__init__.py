@@ -32,7 +32,6 @@ from .infocore import (
     co_information,
     conditional_entropy,
     conditional_mutual_information,
-    cross_entropy,
     entropy,
     kl_divergence,
     mutual_information,
@@ -47,7 +46,7 @@ from .modeling import (
     pinsker_statistical_bound,
 )
 from .pmf import JointPMF, condition, marginalize
-from .signals import SignalMatrix, read_csv, read_raw, write_csv, write_raw
+from .signals import SignalMatrix, read_csv, write_csv
 from .systems import (
     LinearPlant,
     NumericalBlowup,

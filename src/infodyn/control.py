@@ -45,6 +45,7 @@ EXACT_MI_THRESHOLD = 1e-9
 # histogram objectives are piecewise constant at fine scales: the
 # finite-difference step must exceed the bin-crossing granularity
 FD_STEP = 0.05
+REJECTED_SCORE = 1e6  # a controller search probe whose rollout blows up
 
 
 @dataclass(frozen=True)
@@ -306,12 +307,13 @@ def kl_objective(traj: SignalMatrix, target: ControlTarget, relax, reference_edg
 
 
 def _mi_objective(traj, bins, pair):
+    """I(pair[0]; pair[1]) in bits between two named columns of a
+    trajectory, each quantile-coded into `bins` cells; 0 for a constant one."""
     try:
-        symbols = discretize(traj, PartitionSpec(bins_per_variable=bins))
+        symbols = discretize(traj.select(pair), PartitionSpec(bins_per_variable=bins))
     except ValueError:
         return 0.0  # constant column (e.g. zero gain makes A identically 0)
-    pmf = estimate_joint_pmf(symbols, [(pair[0], 0), (pair[1], 0)])
-    return infocore.mutual_information(pmf, [0], [1])
+    return infocore.mutual_information(estimate_joint_pmf(symbols, [(0, 0), (1, 0)]), [0], [1])
 
 
 def optimize_controller(plant, target: ControlTarget, init: ControllerParams, options=None):
@@ -320,76 +322,71 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
     Per outer iteration: (1) holding theta_aa fixed, ascend the sensor
     information I(J;S) over theta_s; (2) holding it fixed, descend the KL
     objective over theta_aa; (3) tighten the relaxation factors toward the
-    floor. The relaxation starts at the target's (relax_mu, relax_sigma)
-    and is multiplied by relax_decay each iteration, down to relax_floor.
-    The outer loop stops when the accepted KL stops decreasing.
-    Plant failures reject the iterate and contract the actuator bounds
-    toward the last good point. The parameter table checks and defaults
-    `options`. Returns (best ControllerParams, OptimizationTrace).
+    floor. Steps 1 and 2 are one block step: `minimize` over one rollout
+    per probe, where a rollout that blows up scores REJECTED_SCORE and
+    pulls the block's bounds halfway toward the point it started from.
+    The relaxation starts at the target's (relax_mu, relax_sigma) and is
+    multiplied by relax_decay each iteration, down to relax_floor. Each
+    iteration records one rollout of its controller; the search stops at
+    the first record whose KL does not fall below the last accepted one,
+    or that blows up. plant_failure marks an iteration with a blow-up.
+    The parameter table checks and defaults `options`. Returns (the
+    controller of the last accepted record, or init; OptimizationTrace).
     """
     opts = resolve("control.options", options or {})
-    edges = opts["reference_edges"]
+    edges, steps = opts["reference_edges"], (opts["n_steps"], opts["transient"], opts["seed"])
     if edges is None:  # reference partition from the uncontrolled plant
-        edges = padded_edges(rollout(plant, init.replace(theta_aa=np.zeros_like(init.theta_aa)),
-                                        opts["n_steps"], opts["transient"], opts["seed"]),
-                                opts["bins"])
+        zero = init.replace(theta_aa=np.zeros_like(init.theta_aa))
+        edges = padded_edges(rollout(plant, zero, *steps), opts["bins"])
 
     trace = OptimizationTrace()
-    current = init
-    bounds_aa = None if init.bounds_aa is None else init.bounds_aa.copy()
+    current = best_params = init
     relax = (target.relax_mu, target.relax_sigma)
-    best_params, best_kl = current, np.inf
     last_accepted = np.inf
+    blowups = []  # the controllers whose rollouts blew up
 
     def run(params):
-        return rollout(plant, params, opts["n_steps"], opts["transient"], opts["seed"])
+        """The rollout at params, or None when the plant blows up."""
+        try:
+            return rollout(plant, params, *steps)
+        except NumericalBlowup:
+            blowups.append(params)
+            return None
 
+    blocks = (("s", lambda traj: -_mi_objective(traj, opts["bins"], ("J", "S"))),
+              ("aa", lambda traj: kl_objective(traj, target, relax, edges, opts["kl_floor"])))
     for outer in range(opts["outer_iters"]):
-        # step 1: information ascent of the sensing block, I(J;S)
-        theta_s, _, _ = minimize(
-            lambda t: -_mi_objective(run(current.replace(theta_s=t)), opts["bins"], (0, 1)),
-            current.theta_s, bounds=current.bounds_s, tol=opts["inner_tol"],
-            max_iters=opts["inner_iters"], initial_step=opts["initial_step"], fd_step=FD_STEP)
-        current = current.replace(theta_s=theta_s)
+        iteration_start = len(blowups)
+        for block, objective in blocks:
+            start, bounds = getattr(current, "theta_" + block), getattr(current, "bounds_" + block)
+            block_start = len(blowups)
 
-        # step 2: KL descent of the active actuation block
-        failure = False
+            def score(t):
+                traj = run(current.replace(**{"theta_" + block: t}))
+                return REJECTED_SCORE if traj is None else objective(traj)
 
-        def aa_objective(t):
-            nonlocal failure
-            try:
-                return kl_objective(run(current.replace(theta_aa=t, bounds_aa=bounds_aa)),
-                                    target, relax, edges, opts["kl_floor"])
-            except NumericalBlowup:
-                failure = True
-                return 1e6  # rejected iterate; bounds contracted below
-
-        theta_aa, _, _ = minimize(
-            aa_objective, current.theta_aa, bounds=bounds_aa, tol=opts["inner_tol"],
-            max_iters=opts["inner_iters"], initial_step=opts["initial_step"],
-            fd_step=FD_STEP)
-        if failure and bounds_aa is not None:
-            # pull the search interval halfway toward the last good point
-            center = current.theta_aa
-            bounds_aa = np.column_stack([
-                center + 0.5 * (bounds_aa[:, 0] - center),
-                center + 0.5 * (bounds_aa[:, 1] - center),
-            ])
-        current = current.replace(theta_aa=theta_aa, bounds_aa=bounds_aa)
+            theta, _, _ = minimize(score, start, bounds=bounds, tol=opts["inner_tol"],
+                                   max_iters=opts["inner_iters"],
+                                   initial_step=opts["initial_step"], fd_step=FD_STEP)
+            if len(blowups) > block_start and bounds is not None:  # halve the box about the start
+                bounds = start[:, None] + 0.5 * (bounds - start[:, None])
+                theta = np.clip(theta, bounds[:, 0], bounds[:, 1])
+            current = current.replace(**{"theta_" + block: theta, "bounds_" + block: bounds})
 
         traj = run(current)  # one rollout for the iteration's record
-        kl_now = kl_objective(traj, target, relax, edges, opts["kl_floor"])
-        obs_mi = _mi_objective(traj, opts["bins"], (0, 1))
-        ctrl_mi = _mi_objective(traj, opts["bins"], (0, 2))
-        accepted = kl_now < last_accepted
+        if traj is None:
+            kl_now, obs_mi, ctrl_mi = REJECTED_SCORE, np.nan, np.nan
+        else:
+            kl_now = kl_objective(traj, target, relax, edges, opts["kl_floor"])
+            obs_mi = _mi_objective(traj, opts["bins"], ("J", "S"))
+            ctrl_mi = _mi_objective(traj, opts["bins"], ("J", "A"))
+        accepted = traj is not None and kl_now < last_accepted
         trace.add(iteration=outer, value=kl_now, theta=current.packed(), step=0.0,
                   obs_mi=obs_mi, ctrl_mi=ctrl_mi, relax=relax, accepted=accepted,
-                  plant_failure=failure)
-        if kl_now < best_kl:
-            best_kl, best_params = kl_now, current
+                  plant_failure=len(blowups) > iteration_start)
         if not accepted:
             trace.converged = True
             break
-        last_accepted = kl_now
+        best_params, last_accepted = current, kl_now
         relax = tuple(max(opts["relax_floor"], r * opts["relax_decay"]) for r in relax)
     return best_params, trace

@@ -21,7 +21,6 @@ __all__ = [
     "conditional_mutual_information",
     "co_information",
     "kl_divergence",
-    "cross_entropy",
 ]
 
 
@@ -122,10 +121,3 @@ def kl_divergence(p: JointPMF, q: JointPMF, epsilon: float | None = None) -> flo
             return float("inf")
         qs = np.maximum(qs, epsilon)
     return float((p.probs * np.log2(p.probs / qs)).sum())
-
-
-def cross_entropy(p: JointPMF, q: JointPMF, epsilon: float | None = None) -> float:
-    """H(p) + KL(p, q); infinite on support mismatch unless floored."""
-    kl = kl_divergence(p, q, epsilon)
-    return entropy(p) + kl
-

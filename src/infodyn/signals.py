@@ -1,19 +1,15 @@
-"""Multivariate time-series container and file I/O.
-
-Two on-disk layouts are supported: columnar CSV with a header row of
-variable names, and raw little-endian float64 with a JSON sidecar
-declaring (n_samples, n_variables, names, dt).
+"""Multivariate time-series container and file I/O: columnar CSV with a
+header row of variable names.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["SignalMatrix", "read_csv", "write_csv", "read_raw", "write_raw"]
+__all__ = ["SignalMatrix", "read_csv", "write_csv"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,26 +77,3 @@ def write_csv(signal: SignalMatrix, path) -> None:
     header = ",".join(signal.names)
     np.savetxt(path, signal.values, delimiter=",", header=header, comments="", fmt="%.17g")
 
-
-def read_raw(data_path, sidecar_path=None) -> SignalMatrix:
-    data_path = Path(data_path)
-    sidecar_path = Path(sidecar_path) if sidecar_path else data_path.with_suffix(".json")
-    meta = json.loads(sidecar_path.read_text())
-    n_t, n_v = int(meta["n_samples"]), int(meta["n_variables"])
-    raw = np.fromfile(data_path, dtype="<f8")
-    if raw.size != n_t * n_v:
-        raise ValueError(f"{data_path}: expected {n_t * n_v} float64 values, found {raw.size}")
-    return SignalMatrix(raw.reshape(n_t, n_v), meta["names"], float(meta.get("dt", 1.0)))
-
-
-def write_raw(signal: SignalMatrix, data_path, sidecar_path=None) -> None:
-    data_path = Path(data_path)
-    sidecar_path = Path(sidecar_path) if sidecar_path else data_path.with_suffix(".json")
-    signal.values.astype("<f8").tofile(data_path)
-    meta = {
-        "n_samples": signal.n_samples,
-        "n_variables": signal.n_variables,
-        "names": list(signal.names),
-        "dt": signal.dt,
-    }
-    sidecar_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")

@@ -158,12 +158,11 @@ def _goy_nonlinear(u, k, coeff):
     return 1j * np.conj(term)
 
 
-def _goy_model(spec: SystemSpec, **overrides):
-    """GOY set-up shared by the run and the energy check: the parameters
-    (the spec's checked and laid over the defaults, then overrides), the
-    RK4 step, the nonlinear term and the seeded initial state. The shell
-    indices forced_shell and cuts must lie below n_shells."""
-    p = {**spec.check_parameters(), **overrides}
+def _goy_model(spec: SystemSpec):
+    """GOY set-up: the parameters (the spec's checked and laid over the
+    defaults), the RK4 step, the nonlinear term and the seeded initial
+    state. The shell indices forced_shell and cuts must lie below n_shells."""
+    p = spec.check_parameters()
     n = p["n_shells"]
     cuts = p["cuts"] = np.array(p["cuts"], dtype=int)
     if cuts.size == 0:
@@ -209,15 +208,6 @@ def _goy_run(spec: SystemSpec) -> SignalMatrix:
         rows[i] = alpha * rows[i] + (1 - alpha) * rows[i - 1]
     names = tuple(f"sigma{b + 1}" for b in range(len(cuts)))
     return SignalMatrix(rows, names, sample_dt)
-
-
-def goy_total_energy_drift(spec: SystemSpec) -> float:
-    """Relative drift of total energy over the run with viscosity and
-    forcing set to zero; an integrator sanity check."""
-    p, step, _, u0 = _goy_model(spec, nu=0.0, f_amp=0.0)
-    energy = lambda u: np.sum(np.abs(u) ** 2)
-    _, u = _integrate(step, u0, spec, energy, p["sample_every"])
-    return abs(energy(u) - energy(u0)) / energy(u0)
 
 
 # ---------------------------------------------------------------------------

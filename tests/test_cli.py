@@ -611,6 +611,23 @@ def test_control_reduces_variance(tmp_path):
     assert (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("seed", [8, 12])
+def test_control_search_survives_an_unstable_probe(tmp_path, seed):
+    # at these plant seeds a probe of the control-search config blows up
+    code, out = run(tmp_path, "control", {
+        "target": {"mu": [0.0], "sigma": [[0.25]]},
+        "init": {"theta_s": [0.0], "theta_aa": [0.1]},
+        "options": {"n_steps": 2000, "transient": 300, "seed": seed},
+    })
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["controlled_variance"] < report["uncontrolled_variance"]
+    kl = report["accepted_kl"]
+    assert kl and all(b < a for a, b in zip(kl, kl[1:]))
+    with (out / "trace.csv").open() as fh:
+        assert any(row["plant_failure"] == "True" for row in csv.DictReader(fh))
+
+
 def test_control_rolls_out_the_uncontrolled_plant_once(tmp_path, monkeypatch):
     # the reference edges come from the zero-gain rollout the report uses
     gains = []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infodyn import control
+from infodyn import control, params
 from infodyn.control import (
     ControllerParams,
     ControlTarget,
@@ -16,10 +16,12 @@ from infodyn.control import (
     observability,
     rollout,
 )
+from infodyn.descent import OptimizationTrace, minimize
 from infodyn.discretization import PartitionSpec, discretize, estimate_joint_pmf
+from infodyn.infocore import mutual_information
 from infodyn.pmf import JointPMF
 from infodyn.signals import SignalMatrix
-from infodyn.systems import LinearPlant
+from infodyn.systems import LinearPlant, NumericalBlowup
 
 
 def binary_entropy(p):
@@ -224,3 +226,121 @@ def test_optimize_controller_rolls_out_once_per_record(monkeypatch):
     # one per objective evaluation, one for the reference edges and one per
     # outer iteration for its record (KL, I(J;S) and I(J;A) together)
     assert counts["rollouts"] == counts["evaluations"] + 1 + len(trace.records)
+
+
+def test_mi_objective_codes_only_its_pair():
+    # at zero gain A is identically 0, which must not zero I(J;S)
+    traj = rollout(LinearPlant(), ControllerParams(theta_s=[1.0], theta_aa=[0.0]), 2000, 300, 0)
+    pair = SignalMatrix(traj.values[:, :2], ("J", "S"))
+    pmf = estimate_joint_pmf(discretize(pair, PartitionSpec(bins_per_variable=8)), [(0, 0), (1, 0)])
+    expected = mutual_information(pmf, [0], [1])
+    assert expected > 0.5
+    assert control._mi_objective(traj, 8, ("J", "S")) == expected
+    assert control._mi_objective(traj, 8, ("J", "A")) == 0.0
+
+
+def _three_column_mi(traj, bins, pair):
+    # the former MI objective: codes J, S and A, and reads 0 if any is constant
+    try:
+        symbols = discretize(traj, PartitionSpec(bins_per_variable=bins))
+    except ValueError:
+        return 0.0
+    return mutual_information(estimate_joint_pmf(symbols, [(pair[0], 0), (pair[1], 0)]), [0], [1])
+
+
+def _two_step_search_oracle(plant, target, init, options):
+    # the former search: step 1 and step 2 written out, and only step 2
+    # catching a blow-up (one in step 1 or in the record ends the search)
+    opts = params.resolve("control.options", options)
+    edges = control.padded_edges(rollout(plant, init.replace(theta_aa=[0.0]), opts["n_steps"],
+                                         opts["transient"], opts["seed"]), opts["bins"])
+    trace = OptimizationTrace()
+    current, bounds_aa = init, init.bounds_aa.copy()
+    relax = (target.relax_mu, target.relax_sigma)
+    best_params, best_kl, last_accepted = current, np.inf, np.inf
+    inner = dict(tol=opts["inner_tol"], max_iters=opts["inner_iters"],
+                 initial_step=opts["initial_step"], fd_step=control.FD_STEP)
+
+    def run(p):
+        return rollout(plant, p, opts["n_steps"], opts["transient"], opts["seed"])
+
+    for outer in range(opts["outer_iters"]):
+        theta_s, _, _ = minimize(
+            lambda t: -_three_column_mi(run(current.replace(theta_s=t)), opts["bins"], (0, 1)),
+            current.theta_s, bounds=current.bounds_s, **inner)
+        current = current.replace(theta_s=theta_s)
+        failure = False
+
+        def aa_objective(t):
+            nonlocal failure
+            try:
+                return kl_objective(run(current.replace(theta_aa=t, bounds_aa=bounds_aa)),
+                                    target, relax, edges, opts["kl_floor"])
+            except NumericalBlowup:
+                failure = True
+                return 1e6
+
+        theta_aa, _, _ = minimize(aa_objective, current.theta_aa, bounds=bounds_aa, **inner)
+        if failure:
+            center = current.theta_aa
+            bounds_aa = np.column_stack([center + 0.5 * (bounds_aa[:, 0] - center),
+                                         center + 0.5 * (bounds_aa[:, 1] - center)])
+        current = current.replace(theta_aa=theta_aa, bounds_aa=bounds_aa)
+        traj = run(current)
+        kl_now = kl_objective(traj, target, relax, edges, opts["kl_floor"])
+        accepted = kl_now < last_accepted
+        trace.add(iteration=outer, value=kl_now, theta=current.packed(), step=0.0,
+                  obs_mi=_three_column_mi(traj, opts["bins"], (0, 1)),
+                  ctrl_mi=_three_column_mi(traj, opts["bins"], (0, 2)), relax=relax,
+                  accepted=accepted, plant_failure=failure)
+        if kl_now < best_kl:
+            best_kl, best_params = kl_now, current
+        if not accepted:
+            trace.converged = True
+            break
+        last_accepted = kl_now
+        relax = tuple(max(opts["relax_floor"], r * opts["relax_decay"]) for r in relax)
+    return best_params, trace
+
+
+def _records_equal(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(r["theta"], q["theta"])
+        and {k: v for k, v in r.items() if k != "theta"} == {k: v for k, v in q.items() if k != "theta"}
+        for r, q in zip(a, b))
+
+
+@pytest.mark.parametrize("plant, init, seed, failures", [
+    (LinearPlant(), ControllerParams(theta_s=[0.0], theta_aa=[0.1], bounds_s=[[0.0, 4.0]],
+                                     bounds_aa=[[0.0, 1.0]]), 0, [False, False]),
+    (LinearPlant(a=0.95, blowup=5.0), ControllerParams(theta_s=[2.0], theta_aa=[0.2], bounds_s=[[0.0, 4.0]],
+                                                       bounds_aa=[[0.0, 2.0]]), 2, [False, False]),
+    # step 2 probes unstable gains at delays 4 and 3, and contracts its bounds
+    (LinearPlant(blowup=20.0), ControllerParams(theta_s=[4.0], theta_aa=[0.4], bounds_s=[[4.0, 4.0]],
+                                                bounds_aa=[[0.0, 1.0]]), 1, [True, True]),
+    (LinearPlant(blowup=20.0), ControllerParams(theta_s=[3.0], theta_aa=[0.45], bounds_s=[[3.0, 3.0]],
+                                                bounds_aa=[[0.0, 1.0]]), 0, [True, False]),
+], ids=["stable", "low-blowup", "contract-twice", "contract-once"])
+def test_block_search_matches_two_step_search(plant, init, seed, failures):
+    target = ControlTarget([0.0], [[0.25]])
+    options = {"n_steps": 600, "transient": 100, "bins": 6, "outer_iters": 3, "inner_iters": 6,
+               "seed": seed}
+    best, trace = control.optimize_controller(plant, target, init, options)
+    expected_best, expected = _two_step_search_oracle(plant, target, init, options)
+    assert np.array_equal(best.packed(), expected_best.packed())
+    assert np.array_equal(best.bounds_aa, expected_best.bounds_aa)
+    assert _records_equal(trace.records, expected.records)
+    assert [r["plant_failure"] for r in trace.records] == failures
+
+
+def test_optimize_controller_rejects_a_record_that_blows_up():
+    # a zero-width box at an unstable gain: the one probe and the record blow up
+    init = ControllerParams(theta_s=[4.0], theta_aa=[0.6], bounds_s=[[4.0, 4.0]], bounds_aa=[[0.6, 0.6]])
+    best, trace = control.optimize_controller(LinearPlant(blowup=20.0), ControlTarget([0.0], [[0.25]]),
+                                              init, {"n_steps": 600, "transient": 100,
+                                                     "reference_edges": [-3.0, 0.0, 3.0]})
+    [record] = trace.records
+    assert record["value"] == control.REJECTED_SCORE
+    assert record["plant_failure"] and not record["accepted"]
+    assert np.isnan(record["obs_mi"]) and np.isnan(record["ctrl_mi"])
+    assert trace.converged and best is init

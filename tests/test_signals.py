@@ -10,7 +10,7 @@ from infodyn.discretization import (
     discretize,
     estimate_joint_pmf,
 )
-from infodyn.signals import SignalMatrix, read_csv, read_raw, write_csv, write_raw
+from infodyn.signals import SignalMatrix, read_csv, write_csv
 
 
 def test_signal_matrix_validation():
@@ -35,15 +35,6 @@ def test_csv_roundtrip(tmp_path):
     write_csv(sig, tmp_path / "s.csv")
     back = read_csv(tmp_path / "s.csv")
     assert back.names == sig.names
-    assert np.array_equal(back.values, sig.values)
-
-
-def test_raw_roundtrip(tmp_path):
-    sig = SignalMatrix(np.random.default_rng(1).standard_normal((10, 2)), ("u", "v"), dt=0.01)
-    write_raw(sig, tmp_path / "s.bin")
-    back = read_raw(tmp_path / "s.bin")
-    assert back.names == sig.names
-    assert back.dt == sig.dt
     assert np.array_equal(back.values, sig.values)
 
 

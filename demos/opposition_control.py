@@ -8,9 +8,6 @@ relaxation. The demo reports loop classification, sensor-channel
 capacity, observability, and the variance before and after control.
 """
 
-import numpy as np
-
-from infodyn import infocore
 from infodyn.control import (
     ControllerParams,
     ControlTarget,
@@ -37,7 +34,7 @@ for r in trace.records:
     print(f"  outer {r['iteration']}: KL = {r['value']:.6f}  relax = {r['relax'][0]:.3f}"
           f"  {'accepted' if r['accepted'] else 'rejected'}")
 
-uncontrolled = rollout(plant, init.replace(theta_aa=np.zeros(1)), 8000, 1000, seed=0)
+uncontrolled = rollout(plant, ControllerParams(), 8000, 1000, seed=0)
 controlled = rollout(plant, best, 8000, 1000, seed=0)
 print(f"\nvariance of J: uncontrolled {uncontrolled.column('J').var():.3f}"
       f" -> controlled {controlled.column('J').var():.3f} (target {target.sigma_target[0, 0]})")

@@ -214,16 +214,14 @@ def flux_report_from_pmf(joint: JointPMF, target: int = 0, lag: int = 1, max_ord
 class CausalityMap:
     """Subset-to-target flux values for every target.
 
-    values[s, j] is the flux from subsets[s] to target j. self_flux marks
-    entries whose subset contains the target; they are computed and stored,
-    masking is purely a display concern.
+    values[s, j] is the flux from subsets[s] to target j, also for a
+    subset that contains the target.
     """
 
     order: int
     lag: int
     subsets: list[tuple[int, ...]]
     values: np.ndarray
-    self_flux: np.ndarray
 
     def to_matrix(self) -> np.ndarray:
         """(n_vars, n_vars) matrix of singleton fluxes T_{i -> j}."""
@@ -244,8 +242,7 @@ class CausalityMap:
         n = len(reports)
         subsets = [s for k in range(1, order + 1) for s in combinations(range(n), k)]
         values = np.array([[rep.fluxes[s] for rep in reports] for s in subsets])
-        self_flux = np.array([[j in subset for j in range(n)] for subset in subsets])
-        return cls(order=order, lag=reports[0].lag, subsets=subsets, values=values, self_flux=self_flux)
+        return cls(order=order, lag=reports[0].lag, subsets=subsets, values=values)
 
 
 def _check_map_order(order: int):

@@ -3,10 +3,10 @@
 Subcommands: simulate | causality | fit | control | fixtures. Each reads a
 JSON config, writes CSV and JSON reports into a run directory, and exits
 with 0 on success, 1 when the causality decomposition identity check
-fails, 2 on config or input errors, 3 when a fit fails to converge, and 4
-on a numerical blow-up of any simulator. Configs are checked against the
-parameter table (params) before any work. Reports embed the resolved config
-and are byte-identical across repeated runs with the same config and seed.
+fails, 2 on config or input errors, 3 when a fit fails to converge, 4 on
+a numerical blow-up of any simulator and 5 on any other error. Configs
+are checked against the parameter table (params) before any work. Reports
+embed the resolved config and repeat byte for byte for a config and seed.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ EXIT_IDENTITY = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_PLANT_FAILURE = 4
+EXIT_INTERNAL = 5
 
 
 class ConfigError(ValueError):
@@ -195,7 +196,7 @@ def cmd_control(given: dict, cfg: dict, out_dir: Path) -> int:
     init = control.ControllerParams(**cfg["init"])
     opts = dict(cfg["options"])  # the search reads the resolved options
     steps = opts["n_steps"], opts["transient"], opts["seed"]
-    uncontrolled = control.rollout(plant, init.replace(theta_aa=np.zeros_like(init.theta_aa)), *steps)
+    uncontrolled = control.rollout(plant, control.ControllerParams(), *steps)
     if opts["reference_edges"] is None:  # the search would roll out the same trajectory
         opts["reference_edges"] = control.padded_edges(uncontrolled, opts["bins"])
     best, trace = control.optimize_controller(plant, target, init, opts)
@@ -293,6 +294,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:  # a fault of the program, not of the config
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

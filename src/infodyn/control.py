@@ -50,24 +50,29 @@ REJECTED_SCORE = 1e6  # a controller search probe whose rollout blows up
 
 @dataclass(frozen=True)
 class ControllerParams:
-    """Controller parameters split into sensor (theta_s) and actuator
-    (theta_aa) blocks, with per-block bounds as (n, 2) arrays."""
+    """The opposition law's two numbers: the sensing delay theta_s and the
+    gain theta_aa, each a one-entry block with optional (1, 2) bounds.
+    ControllerParams() is the uncontrolled plant: at zero gain the state
+    never reads the sensor, so no delay changes it."""
 
-    theta_s: np.ndarray = ()
-    theta_aa: np.ndarray = ()
+    theta_s: np.ndarray = (0.0,)
+    theta_aa: np.ndarray = (0.0,)
     bounds_s: np.ndarray | None = None
     bounds_aa: np.ndarray | None = None
 
     def __post_init__(self):
         for block, bounds in (("theta_s", "bounds_s"), ("theta_aa", "bounds_aa")):
             t = np.asarray(getattr(self, block), dtype=float).reshape(-1)
+            if t.size != 1:
+                raise ValueError(f"{block} must hold one entry, got {t.tolist()}")
             if not np.all(np.isfinite(t)):  # bounds may be infinite, the parameters not
                 raise ValueError(f"{block} must be finite, got {t.tolist()}")
             b = getattr(self, bounds)
             if b is not None:
-                b = np.asarray(b, dtype=float).reshape(-1, 2)
-                if b.shape[0] != t.size:
-                    raise ValueError(f"{bounds} shape does not match {block}")
+                b = np.asarray(b, dtype=float)
+                if b.size != 2:
+                    raise ValueError(f"{bounds} must be one [low, high] row, got {b.tolist()}")
+                b = b.reshape(1, 2)
                 if np.any(b[:, 0] > b[:, 1]):
                     raise ValueError(f"{bounds}: empty interval")
                 if np.any(t < b[:, 0]) or np.any(t > b[:, 1]):
@@ -84,10 +89,10 @@ class ControllerParams:
 
 @dataclass(frozen=True)
 class ControlTarget:
-    """Desired first and second moments of the target variable, plus the
-    relaxation factors blending them with the current moments, from which
-    the controller search starts; factors left at None take their defaults
-    from the parameter table, which checks the others."""
+    """Desired mean and 1x1 variance of the one controlled variable J, plus
+    the relaxation factors blending them with the current moments, from
+    which the controller search starts; factors left at None take their
+    defaults from the parameter table, which checks the others."""
 
     mu_target: np.ndarray
     sigma_target: np.ndarray
@@ -95,12 +100,14 @@ class ControlTarget:
     relax_sigma: float = None
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu_target, dtype=float))
+        mu = np.asarray(self.mu_target, dtype=float).reshape(-1)
         sig = np.atleast_2d(np.asarray(self.sigma_target, dtype=float))
-        if sig.shape != (mu.size, mu.size):
-            raise ValueError("sigma_target shape does not match mu_target")
-        if np.any(np.diag(sig) < 0):
-            raise ValueError("sigma_target diagonal must be nonnegative")
+        if mu.size != 1:
+            raise ValueError(f"mu_target must hold one entry, got {mu.tolist()}")
+        if sig.shape != (1, 1):
+            raise ValueError(f"sigma_target shape must be (1, 1), got {sig.shape}")
+        if sig[0, 0] < 0:
+            raise ValueError("sigma_target must be nonnegative")
         relax = resolve("target", {k: getattr(self, k) for k in ("relax_mu", "relax_sigma")
                                    if getattr(self, k) is not None})
         object.__setattr__(self, "mu_target", mu)
@@ -240,48 +247,42 @@ def noisy_observability_bound(joint: JointPMF) -> float:
 # auxiliary target and controller optimization
 
 def _binned(samples: SignalMatrix, edges) -> JointPMF:
-    """Joint PMF of the samples on explicit edges, one edge array per
-    column; out-of-range samples fall into the end cells."""
-    spec = PartitionSpec("explicit-edges", edges=tuple(np.asarray(e, dtype=float) for e in edges))
-    symbols = discretize(samples, spec)
-    return estimate_joint_pmf(symbols, [(v, 0) for v in range(symbols.n_variables)])
+    """PMF of a one-column sample on one explicit edge array; out-of-range
+    samples fall into the end cells."""
+    symbols = discretize(samples, PartitionSpec("explicit-edges", edges=(np.asarray(edges, dtype=float),)))
+    return estimate_joint_pmf(symbols, [(0, 0)])
 
 
 def build_auxiliary_target(samples: SignalMatrix, target: ControlTarget, relax, reference_edges) -> JointPMF:
-    """PMF of the moment-corrected target J_hat = Gamma J + b on the
-    reference partition: one edge array (an array or a list), or a tuple of
-    one per column.
+    """PMF of the moment-corrected target J_hat = gamma J + b on the
+    reference partition, one edge array (an array or a list), for samples
+    of the one column J.
 
-    Gamma and b rescale the current samples of the target variable so
-    their mean and variance match the relaxed targets
+    gamma and b rescale the current samples of J so their mean and
+    variance match the relaxed targets
     mu_rel = xi_mu * mu_hat + (1 - xi_mu) * mu_D (same for the variance):
     at xi = 1 the auxiliary target is the current distribution, at the
     xi -> 0 floor it is fully moment-matched to the desired one.
     """
     xi_mu, xi_sigma = relax
     x = samples.values
-    if x.shape[1] != target.mu_target.size:
-        raise ValueError("sample dimension does not match target moments")
-    mu_hat = x.mean(axis=0)
-    var_hat = x.var(axis=0)
+    mu_hat, var_hat = x.mean(axis=0), x.var(axis=0)
     mu_rel = xi_mu * mu_hat + (1.0 - xi_mu) * target.mu_target
     var_rel = xi_sigma * var_hat + (1.0 - xi_sigma) * np.diag(target.sigma_target)
     if np.any((var_hat == 0) & (var_rel > 0)):
         raise ValueError("degenerate rescale: zero current variance with nonzero target variance")
     gamma = np.sqrt(np.divide(var_rel, var_hat, out=np.ones_like(var_rel), where=var_hat > 0))
     b = mu_rel - gamma * mu_hat
-    transformed = x * gamma + b
-    edges = reference_edges if isinstance(reference_edges, tuple) else (reference_edges,)
-    return _binned(SignalMatrix(transformed, samples.names, samples.dt), edges)
+    return _binned(SignalMatrix(x * gamma + b, samples.names, samples.dt), reference_edges)
 
 
 def rollout(plant, params: ControllerParams, n_steps: int, transient: int, seed: int) -> SignalMatrix:
-    """Closed-loop trajectory under the proportional-opposition law
-    A = -theta_aa[0] * S, recorded as columns (J, S, A) with J the state x:
-    the plant's closed_loop (see LinearPlant.closed_loop) at sensing delay
-    theta_s[0], steps transient..n_steps-1, noise seeded by `seed`."""
-    gain = float(params.theta_aa[0]) if params.theta_aa.size else 0.0
-    rows = plant.closed_loop(gain, params.theta_s[0], n_steps, transient, seed)
+    """Closed-loop trajectory under the opposition law A = -theta_aa * S,
+    recorded as columns (J, S, A) with J the state x: the plant's
+    closed_loop (see LinearPlant.closed_loop) at sensing delay theta_s,
+    steps transient..n_steps-1, noise seeded by `seed`. ControllerParams()
+    rolls out the uncontrolled plant."""
+    rows = plant.closed_loop(float(params.theta_aa[0]), params.theta_s[0], n_steps, transient, seed)
     return SignalMatrix(rows, ("J", "S", "A"))
 
 
@@ -301,9 +302,9 @@ def kl_objective(traj: SignalMatrix, target: ControlTarget, relax, reference_edg
     with q's empty cells floored at kl_floor. optimize_controller descends
     it over rollouts; a grid-search oracle composes it with rollout alike.
     """
-    j, edges = traj.select(["J"]), np.asarray(reference_edges, dtype=float)
-    p_j = _binned(j, (edges,))
-    return infocore.kl_divergence(p_j, build_auxiliary_target(j, target, relax, edges), epsilon=kl_floor)
+    j = traj.select(["J"])
+    q = build_auxiliary_target(j, target, relax, reference_edges)
+    return infocore.kl_divergence(_binned(j, reference_edges), q, epsilon=kl_floor)
 
 
 def _mi_objective(traj, bins, pair):
@@ -336,8 +337,7 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
     opts = resolve("control.options", options or {})
     edges, steps = opts["reference_edges"], (opts["n_steps"], opts["transient"], opts["seed"])
     if edges is None:  # reference partition from the uncontrolled plant
-        zero = init.replace(theta_aa=np.zeros_like(init.theta_aa))
-        edges = padded_edges(rollout(plant, zero, *steps), opts["bins"])
+        edges = padded_edges(rollout(plant, ControllerParams(), *steps), opts["bins"])
 
     trace = OptimizationTrace()
     current = best_params = init

@@ -83,15 +83,14 @@ def _box(theta, bounds):
     return np.broadcast_to([-np.inf, np.inf] if bounds is None else bounds, (theta.size, 2))
 
 
-def fd_gradient(f, theta, f0=None, fd_step: float = 1e-4, bounds=None):
+def fd_gradient(f, theta, fd_step: float = 1e-4, bounds=None):
     """Finite-difference gradient with per-coordinate step
     h_i = max(fd_step, fd_step * |theta_i|). Histogram-based objectives are
     piecewise constant at fine scales, so callers pick fd_step above the
     bin-crossing granularity. Every probe lies within bounds (see _probe);
     a zero-width interval gets slope 0 and no probe."""
     theta = np.asarray(theta, dtype=float)
-    if f0 is None:
-        f0 = f(theta)
+    f0 = f(theta)
     g = np.zeros_like(theta)
     for i, (h, (lo, hi)) in enumerate(zip(_fd_steps(theta, fd_step), _box(theta, bounds))):
         # Python floats: a probe past the largest float is inf, without a NumPy warning

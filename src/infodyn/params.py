@@ -36,7 +36,7 @@ SECTIONS = {
     "causality": {
         "input": (PATH, None, None), "system": (SECTION, None, "system"),
         "lag": (INT, 1, ">= 1"), "order": (INT, 1, ">= 1 and <= 3"), "bins": (INT, 8, ">= 2"),
-        "scheme": (NAME, "equiprobable-quantile", SCHEMES),
+        "scheme": (NAME, "equiprobable-quantile", SCHEMES[:2]),  # a config gives no edges
         "identity_tolerance": (FLOAT, 1e-10, None)},
     "fit": {
         "family": (NAME, "affine-noise", ("affine-noise",)),

@@ -286,6 +286,10 @@ FIT = {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8], "n_samples": 1000}
     # was an exit 4 with a blow-up at step 1
     pytest.param("control", {"init": {"theta_aa": [math.nan]}}, "theta_aa must be finite, got [nan]",
                  id="control theta_aa nan"),
+    # was an exit 2 from discretize for every run: the command gives no edges
+    pytest.param("causality", {"system": {"kind": "coupled-logistic"}, "scheme": "explicit-edges"},
+                 "scheme must be one of ['equiprobable-quantile', 'uniform-width'], got 'explicit-edges'",
+                 id="causality scheme explicit-edges"),
 ])
 def test_refuses_a_bad_field_in_one_line_naming_it(tmp_path, capsys, command, config, message):
     code, _ = run(tmp_path, command, config)
@@ -644,6 +648,51 @@ def test_control_rolls_out_the_uncontrolled_plant_once(tmp_path, monkeypatch):
                     "inner_iters": 2}})
     assert code == 0
     assert gains[0] == [0.0] and [0.0] not in gains[1:]
+
+
+def test_control_runs_when_the_gain_bounds_exclude_zero(tmp_path):
+    # the uncontrolled rollout is ControllerParams(), not init at zero gain
+    # (which kept init's bounds and was refused: "theta_aa outside bounds")
+    code, out = run(tmp_path, "control", {
+        "init": {"theta_aa": [0.1], "bounds_aa": [[0.05, 1.0]]},
+        "options": {"n_steps": 600, "transient": 100}})
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["controlled_variance"] < report["uncontrolled_variance"]
+
+
+@pytest.mark.parametrize("config, message", [
+    # was an IndexError traceback, exit 1
+    pytest.param({"init": {"theta_s": [], "bounds_s": []}}, "theta_s must hold one entry, got []",
+                 id="no delay"),
+    # the second gain was searched, then ignored
+    pytest.param({"init": {"theta_aa": [0.1, 0.2], "bounds_aa": [[0.0, 1.0], [0.0, 1.0]]}},
+                 "theta_aa must hold one entry, got [0.1, 0.2]", id="two gains"),
+    # was NumPy's "cannot reshape array of size 3 into shape (2)"
+    pytest.param({"init": {"bounds_s": [[0.0, 1.0, 2.0]]}},
+                 "bounds_s must be one [low, high] row, got [[0.0, 1.0, 2.0]]", id="three-value bounds row"),
+    # was refused only after 6 rollouts
+    pytest.param({"target": {"mu": [0, 1], "sigma": [[0.25, 0.0], [0.0, 0.25]]}},
+                 "mu_target must hold one entry, got [0.0, 1.0]", id="two-variable target"),
+])
+def test_control_refuses_another_controller_shape_before_any_rollout(tmp_path, capsys, monkeypatch,
+                                                                     config, message):
+    monkeypatch.setattr(control, "rollout", mock.Mock(side_effect=AssertionError("a rollout ran")))
+    code, _ = run(tmp_path, "control", config)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    control.rollout.assert_not_called()
+
+
+def test_any_other_error_exits_5_in_one_line(tmp_path, capsys, monkeypatch):
+    def broken(given, cfg, out_dir):
+        raise IndexError("index 0 is out of bounds for axis 0 with size 0")
+
+    monkeypatch.setitem(cli.COMMANDS, "fixtures", broken)
+    code, _ = run(tmp_path, "fixtures", {})
+    assert code == cli.EXIT_INTERNAL == 5
+    assert capsys.readouterr().err == (
+        "error: IndexError: index 0 is out of bounds for axis 0 with size 0\n")
 
 
 def test_control_search_starts_from_the_target_relaxation(tmp_path):

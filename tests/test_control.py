@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infodyn import control, params
 from infodyn.control import (
@@ -37,6 +39,30 @@ def test_controller_params_validation():
     q = p.replace(theta_aa=[0.5])
     assert q.theta_aa[0] == 0.5 and q.theta_s[0] == 1.0
     assert np.array_equal(q.packed(), [1.0, 0.5])
+
+
+def _j_or_blowup(plant, params, *steps):
+    """The bytes of a rollout's J column, or the step at which it blew up."""
+    try:
+        return rollout(plant, params, *steps).column("J").tobytes()
+    except NumericalBlowup as blowup:
+        return blowup.step
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=st.floats(-1.2, 1.2), noise_std=st.sampled_from([0.0, 0.1, 0.5, 3.0]),
+       sensor_noise_std=st.sampled_from([0.0, 0.1, 2.0]), max_delay=st.sampled_from([4.0, 500.0]),
+       delay=st.floats(0.0, 500.0), seed=st.integers(0, 2**16))
+def test_uncontrolled_rollout_does_not_read_the_delay(a, noise_std, sensor_noise_std, max_delay,
+                                                      delay, seed):
+    # at zero gain the state never reads the sensor, so ControllerParams() is
+    # the uncontrolled plant at any delay, blow-ups included (a past 1 with
+    # a low threshold); a max_delay of 500 lets the delay pass the run
+    plant = LinearPlant(a=a, noise_std=noise_std, sensor_noise_std=sensor_noise_std,
+                        max_delay=max_delay, blowup=20.0)
+    steps = (400, 50, seed)
+    assert (_j_or_blowup(plant, ControllerParams(theta_s=[delay]), *steps)
+            == _j_or_blowup(plant, ControllerParams(), *steps))
 
 
 def test_control_target_validation():

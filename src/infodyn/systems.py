@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -95,12 +95,33 @@ def _integrate(step, x0, spec: SystemSpec, observe, sample_every=1):
     return rows, x
 
 
-def _rk4_step(rhs, x, dt):
-    k1 = rhs(x)
-    k2 = rhs(x + 0.5 * dt * k1)
-    k3 = rhs(x + 0.5 * dt * k2)
-    k4 = rhs(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _rk4_stepper(rhs, stage, dt):
+    """The RK4 step x -> x + (dt/6) (k1 + 2 k2 + 2 k3 + k4) of x' = rhs.
+    rhs(out) evaluates the right-hand side at the array `stage` into out;
+    each stage input (x, x + (dt/2) k1, x + (dt/2) k2, x + dt k3) is written
+    into `stage` in place, and k1..k4 are buffers kept across steps, so a
+    step allocates only the state it returns. Every product keeps the
+    operand order of x + (0.5 * dt * k1) and so on, so a step is bit for bit
+    the allocating form's (complex multiplies need not commute bitwise)."""
+    k1, k2, k3, k4 = (np.empty_like(stage) for _ in range(4))
+    half, sixth = 0.5 * dt, dt / 6.0
+    add, mul = np.add, np.multiply
+
+    def step(x):
+        np.copyto(stage, x)
+        rhs(k1)
+        add(x, mul(half, k1, stage), stage)
+        rhs(k2)
+        add(x, mul(half, k2, stage), stage)
+        rhs(k3)
+        add(x, mul(dt, k3, stage), stage)
+        rhs(k4)
+        add(k1, mul(2, k2, k2), k1)  # ((k1 + 2 k2) + 2 k3) + k4, summed in place
+        add(k1, mul(2, k3, k3), k1)
+        add(k1, k4, k1)
+        return x + mul(sixth, k1, k1)
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -123,45 +144,36 @@ def _coupled_logistic(spec: SystemSpec, p: dict) -> SignalMatrix:
 # ---------------------------------------------------------------------------
 # Lorenz-96
 
-def _lorenz96_neighbours(n_sites):
-    # cyclic indices of sites i+1, i-2 and i-1, built once per run
-    i = np.arange(n_sites)
-    return (i + 1) % n_sites, (i - 2) % n_sites, (i - 1) % n_sites
-
-
-def _lorenz96_rhs(x, forcing, neighbours):
-    ip1, im2, im1 = neighbours
-    return (x[ip1] - x[im2]) * x[im1] - x + forcing
-
-
 def _lorenz96(spec: SystemSpec, p: dict) -> SignalMatrix:
     n_sites, forcing = p["n_sites"], p["forcing"]
     rng = np.random.default_rng(spec.seed)
     x0 = forcing * np.ones(n_sites) + 0.01 * rng.standard_normal(n_sites)
-    neighbours = _lorenz96_neighbours(n_sites)
-    rhs = lambda v: _lorenz96_rhs(v, forcing, neighbours)
-    rows, _ = _integrate(lambda x: _rk4_step(rhs, x, spec.dt), x0, spec, lambda x: x)
+    # sites i-2, i-1, i and i+1 as views of one buffer: the stage between a
+    # cyclic pad of two sites below and one above, refreshed at each stage
+    pad = np.empty(n_sites + 3)
+    im2, im1, x, ip1 = (pad[j:j + n_sites] for j in range(4))
+    wrapped, sites = np.array([0, 1, n_sites + 2]), np.array([n_sites, n_sites + 1, 2])
+
+    def rhs(out):  # ((x[i+1] - x[i-2]) * x[i-1] - x[i]) + forcing
+        pad[wrapped] = pad[sites]
+        np.subtract(ip1, im2, out)
+        np.multiply(out, im1, out)
+        np.subtract(out, x, out)
+        np.add(out, forcing, out)
+
+    rows, _ = _integrate(_rk4_stepper(rhs, x, spec.dt), x0, spec, lambda state: state)
     return SignalMatrix(rows, tuple(f"x{i}" for i in range(n_sites)), spec.dt)
 
 
 # ---------------------------------------------------------------------------
 # GOY shell model
 
-def _goy_nonlinear(u, k, coeff):
-    """Nonlinear shell-interaction term; conserves total energy sum |u_n|^2.
-    coeff = (c1, c2) weighs the two interactions with the shell below."""
-    n = u.shape[0]
-    pad = np.zeros(n + 4, dtype=complex)
-    pad[2 : n + 2] = u
-    um2, um1, up1, up2 = pad[:n], pad[1 : n + 1], pad[3 : n + 3], pad[4:]
-    term = k * up1 * up2 - coeff[0] * um1 * up1 - coeff[1] * um1 * um2
-    return 1j * np.conj(term)
-
-
 def _goy_model(spec: SystemSpec):
     """GOY set-up: the parameters (the spec's checked and laid over the
-    defaults), the RK4 step, the nonlinear term and the seeded initial
-    state. The shell indices forced_shell and cuts must lie below n_shells."""
+    defaults), the RK4 step of u' = (N(u) - nu k^2 u) + f, the nonlinear term
+    N (the step's own kernel, evaluated at a given state) and the seeded
+    initial state. N conserves total energy sum |u_n|^2. The shell indices
+    forced_shell and cuts must lie below n_shells."""
     p = spec.check_parameters()
     n = p["n_shells"]
     cuts = p["cuts"] = np.array(p["cuts"], dtype=int)
@@ -172,18 +184,37 @@ def _goy_model(spec: SystemSpec):
         if index >= n:
             raise ValueError(f"goy-shell.{key} must be < n_shells = {n}, got {index}")
     k = p["k0"] * p["lam"] ** np.arange(1, n + 1)
-    # interaction weights with the boundary shells zeroed via lag products
+    # interaction weights with the boundary shells zeroed via lag products,
+    # cast to complex once as NumPy would in every float x complex product
     km1 = np.concatenate(([0.0], k[:-1]))
     km2 = np.concatenate(([0.0, 0.0], k[:-2]))
-    coeff = (p["eps"] * km1, (1.0 - p["eps"]) * km2)
-    damp = p["nu"] * k**2
+    kc, c1, c2, damp = (a.astype(complex) for a in (
+        k, p["eps"] * km1, (1.0 - p["eps"]) * km2, p["nu"] * k**2))
     f = np.zeros(n, dtype=complex)
     f[p["forced_shell"]] = (1 + 1j) * p["f_amp"]
-    rhs = lambda v: _goy_nonlinear(v, k, coeff) - damp * v + f
+    # shells n-2 .. n+2 as views of one buffer: the stage between zero pads
+    pad = np.zeros(n + 4, dtype=complex)
+    um2, um1, u, up1, up2 = (pad[j:j + n] for j in range(5))
+    tmp = np.empty(n, dtype=complex)
+    mul, sub = np.multiply, np.subtract
+
+    def nonlinear_at_stage(out):  # 1j conj(k u+1 u+2 - c1 u-1 u+1 - c2 u-1 u-2)
+        mul(mul(kc, up1, out), up2, out)
+        sub(out, mul(mul(c1, um1, tmp), up1, tmp), out)
+        sub(out, mul(mul(c2, um1, tmp), um2, tmp), out)
+        return mul(1j, np.conjugate(out, out), out)
+
+    def rhs(out):
+        sub(nonlinear_at_stage(out), mul(damp, u, tmp), out)
+        np.add(out, f, out)
+
+    def nonlinear(v):
+        np.copyto(u, v)
+        return nonlinear_at_stage(np.empty(n, dtype=complex))
+
     rng = np.random.default_rng(spec.seed)
     u0 = 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * k ** (-1 / 3)
-    step = lambda u: _rk4_step(rhs, u, spec.dt)
-    return p, step, lambda u: _goy_nonlinear(u, k, coeff), u0
+    return p, _rk4_stepper(rhs, u, spec.dt), nonlinear, u0
 
 
 def _goy_run(spec: SystemSpec) -> SignalMatrix:
@@ -204,8 +235,10 @@ def _goy_run(spec: SystemSpec) -> SignalMatrix:
     # observation region; alpha derived from the declared smoothing time
     sample_dt = spec.dt * sample_every
     alpha = min(1.0, sample_dt / p["smooth_time"]) if p["smooth_time"] > 0 else 1.0
-    for i in range(1, len(rows)):
-        rows[i] = alpha * rows[i] + (1 - alpha) * rows[i - 1]
+    beta = 1 - alpha
+    for column in rows.T:  # a Python-float recurrence: NumPy's row-wise result, bit for bit
+        smoothed = accumulate(array("d", column.tobytes()), lambda prev, x: alpha * x + beta * prev)
+        column[:] = np.fromiter(smoothed, float, len(column))
     names = tuple(f"sigma{b + 1}" for b in range(len(cuts)))
     return SignalMatrix(rows, names, sample_dt)
 

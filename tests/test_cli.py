@@ -4,7 +4,10 @@ import io
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -693,6 +696,41 @@ def test_any_other_error_exits_5_in_one_line(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 5
     assert capsys.readouterr().err == (
         "error: IndexError: index 0 is out of bounds for axis 0 with size 0\n")
+
+
+# A child process that caps its own address space at 2 GiB before it imports
+# infodyn, so that an allocation of terabytes fails on any host
+CAPPED_MAIN = """import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 2**31 if hard == resource.RLIM_INFINITY else min(2**31, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from infodyn.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command, config, size", [
+    # np.empty of the kept rows in systems._integrate
+    pytest.param("simulate", {"system": {"kind": "lorenz96", "n_steps": 10**12}}, "58.2 TiB",
+                 id="lorenz96 1e12 steps"),
+    pytest.param("simulate", {"system": {"kind": "goy-shell", "n_steps": 10**12}}, "5.82 TiB",
+                 id="goy-shell 1e12 steps"),
+    # the sampler's rng.integers
+    pytest.param("fixtures", {"name": "xor", "n_samples": 10**12}, "14.6 TiB",
+                 id="xor 1e12 samples"),
+])
+def test_huge_allocation_exits_5_in_one_line(tmp_path, command, config, size):
+    # these exited 1, the identity-check code, with NumPy's _ArrayMemoryError traceback
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", CAPPED_MAIN, command, "--config", str(cfg),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == cli.EXIT_INTERNAL == 5
+    assert done.stderr.startswith(f"error: MemoryError: Unable to allocate {size} for an array ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 def test_control_search_starts_from_the_target_relaxation(tmp_path):

@@ -13,11 +13,7 @@ from infodyn.systems import (
     NumericalBlowup,
     SystemSpec,
     _goy_model,
-    _goy_nonlinear,
     _integrate,
-    _lorenz96_neighbours,
-    _lorenz96_rhs,
-    _rk4_step,
     simulate,
     symbolic_map_suite,
 )
@@ -95,18 +91,32 @@ def test_lorenz96_bounded_chaos():
     assert sig.values.std() > 1.0  # not collapsed onto the fixed point
 
 
+def _rk4_step(rhs, x, dt):
+    # the former allocating RK4 step, the oracle of the stepper
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * dt * k1)
+    k3 = rhs(x + 0.5 * dt * k2)
+    k4 = rhs(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def _lorenz96_rhs_roll(x, forcing):
     # the former right-hand side, three np.roll calls per evaluation
     return (np.roll(x, -1) - np.roll(x, 2)) * np.roll(x, 1) - x + forcing
 
 
+def _goy_nonlinear(u, k, coeff):
+    # the former allocating GOY nonlinear term
+    n = u.shape[0]
+    pad = np.zeros(n + 4, dtype=complex)
+    pad[2 : n + 2] = u
+    um2, um1, up1, up2 = pad[:n], pad[1 : n + 1], pad[3 : n + 3], pad[4:]
+    term = k * up1 * up2 - coeff[0] * um1 * up1 - coeff[1] * um1 * um2
+    return 1j * np.conj(term)
+
+
 @pytest.mark.parametrize("n_sites", [4, 7, 8])
-def test_lorenz96_index_arrays_match_roll(n_sites):
-    rng = np.random.default_rng(n_sites)
-    neighbours = _lorenz96_neighbours(n_sites)
-    for _ in range(20):
-        x = 8.0 * rng.standard_normal(n_sites)
-        assert np.array_equal(_lorenz96_rhs(x, 8.0, neighbours), _lorenz96_rhs_roll(x, 8.0))
+def test_lorenz96_matches_roll_form(n_sites):
     # a whole run, stepped with the np.roll form as the oracle
     spec = SystemSpec("lorenz96", {"n_sites": n_sites, "forcing": 8.0},
                       n_steps=400, transient_steps=100, dt=0.01, seed=3)
@@ -120,14 +130,17 @@ def test_lorenz96_index_arrays_match_roll(n_sites):
 
 
 def test_goy_nonlinear_conserves_energy_instantaneously():
-    # the nonlinear term alone must not change sum |u|^2: 2 Re <u, N(u)> = 0,
-    # with the coefficients the model builds, at any eps
+    # the nonlinear term the stepper runs must not change sum |u|^2:
+    # 2 Re <u, N(u)> = 0, with the coefficients the model builds, at any eps,
+    # down to 2 shells (no shell has two below it) and up to 25
     rng = np.random.default_rng(0)
-    for eps in (0.5, 0.3):
-        _, _, nonlinear, _ = _goy_model(SystemSpec("goy-shell", {"eps": eps}))
-        u = rng.standard_normal(19) + 1j * rng.standard_normal(19)
-        nl = nonlinear(u)
-        assert abs(np.sum(2 * np.real(np.conj(u) * nl))) < 1e-10 * np.sum(np.abs(u) ** 2)
+    for n_shells in (19, 2, 3, 25):
+        for eps in (0.5, 0.3):
+            parameters = {"n_shells": n_shells, "eps": eps, "forced_shell": 0, "cuts": [0]}
+            _, _, nonlinear, _ = _goy_model(SystemSpec("goy-shell", parameters))
+            u = rng.standard_normal(n_shells) + 1j * rng.standard_normal(n_shells)
+            nl = nonlinear(u)
+            assert abs(np.sum(2 * np.real(np.conj(u) * nl))) < 1e-10 * np.sum(np.abs(u) ** 2)
 
 
 def _goy_setup_oracle(spec):
@@ -207,6 +220,47 @@ def test_goy_energy_drift_inviscid():
     spec = SystemSpec("goy-shell", {"nu": 0.0, "f_amp": 0.0}, n_steps=2000, transient_steps=0,
                       seed=1, dt=2e-4)
     assert _goy_energy_drift(spec) < 1e-10
+
+
+def _outcome(run):
+    """A run's values as bytes, or the step at which it blew up."""
+    try:
+        return run().tobytes()
+    except NumericalBlowup as blowup:
+        return blowup.step
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_shells=st.integers(2, 25),  # at 2 shells no shell has two below it
+       eps=st.floats(0.0, 1.0), nu=st.floats(0.0, 1e-3), f_amp=st.floats(0.0, 1.0),
+       dt=st.floats(1e-5, 1e-2),  # stiff enough at many shells to blow up
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_goy_stepper_matches_allocating_form_bit_for_bit(n_shells, eps, nu, f_amp, dt, seed, data):
+    forced_shell = data.draw(st.integers(0, n_shells - 1), label="forced_shell")
+    spec = SystemSpec("goy-shell", {"n_shells": n_shells, "eps": eps, "nu": nu, "f_amp": f_amp,
+                                    "forced_shell": forced_shell, "cuts": [0]},
+                      n_steps=250, transient_steps=0, seed=seed, dt=dt)
+    _, step, _, u0 = _goy_model(spec)
+    _, k, coeff, u = _goy_setup_oracle(spec)
+    f = np.zeros(n_shells, dtype=complex)
+    f[forced_shell] = (1 + 1j) * f_amp
+    damp = nu * k**2
+    rhs = lambda v: _goy_nonlinear(v, k, coeff) - damp * v + f
+    every_state = lambda v: v.view(float)  # real and imaginary parts, bit for bit
+    expected = _outcome(lambda: _integrate(lambda v: _rk4_step(rhs, v, dt), u, spec, every_state)[0])
+    assert _outcome(lambda: _integrate(step, u0, spec, every_state)[0]) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_sites=st.integers(4, 12), forcing=st.floats(-20.0, 40.0), dt=st.floats(1e-3, 0.3),
+       seed=st.integers(0, 2**32 - 1))
+def test_lorenz96_stepper_matches_roll_form_bit_for_bit(n_sites, forcing, dt, seed):
+    spec = SystemSpec("lorenz96", {"n_sites": n_sites, "forcing": forcing}, n_steps=250,
+                      transient_steps=0, seed=seed, dt=dt)
+    x0 = forcing * np.ones(n_sites) + 0.01 * np.random.default_rng(seed).standard_normal(n_sites)
+    step = lambda x: _rk4_step(lambda v: _lorenz96_rhs_roll(v, forcing), x, dt)
+    expected = _outcome(lambda: _integrate(step, x0, spec, lambda x: x)[0])
+    assert _outcome(lambda: simulate(spec).values) == expected
 
 
 def test_goy_signal_shape_and_names():

@@ -59,7 +59,9 @@ class FluxQuery:
 
 @dataclass
 class FluxReport:
-    """All subset fluxes to one target, plus leak and normalizations."""
+    """All subset fluxes to one target, plus leak and normalizations: each
+    flux and the leak as a share of the target's entropy, 0.0 for a target
+    with zero entropy, which has nothing to apportion."""
 
     target: int
     lag: int
@@ -69,11 +71,14 @@ class FluxReport:
 
     @property
     def normalized(self) -> dict[tuple[int, ...], float]:
-        return {s: t / self.target_entropy for s, t in self.fluxes.items()}
+        return {s: self._share(t) for s, t in self.fluxes.items()}
 
     @property
     def normalized_leak(self) -> float:
-        return self.leak / self.target_entropy
+        return self._share(self.leak)
+
+    def _share(self, bits: float) -> float:
+        return bits / self.target_entropy if self.target_entropy else 0.0
 
 
 def _check_lattice_size(n_variables: int, order: int):

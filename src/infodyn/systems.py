@@ -102,9 +102,15 @@ def _rk4_stepper(rhs, stage, dt):
     into `stage` in place, and k1..k4 are buffers kept across steps, so a
     step allocates only the state it returns. Every product keeps the
     operand order of x + (0.5 * dt * k1) and so on, so a step is bit for bit
-    the allocating form's (complex multiplies need not commute bitwise)."""
-    k1, k2, k3, k4 = (np.empty_like(stage) for _ in range(4))
-    half, sixth = 0.5 * dt, dt / 6.0
+    the allocating form's (complex multiplies need not commute bitwise).
+    The constants are cast once to 0-d arrays of the stage's dtype, the
+    value NumPy would cast a Python scalar to in every call, at about half
+    the per-call cost; k2 and k3 share one buffer, so 2 k2 and 2 k3 are one
+    call."""
+    n = stage.size
+    k1, k4, k23 = np.empty_like(stage), np.empty_like(stage), np.empty(2 * n, stage.dtype)
+    k2, k3 = k23[:n], k23[n:]
+    half, full, two, sixth = (np.array(c, stage.dtype) for c in (0.5 * dt, dt, 2, dt / 6.0))
     add, mul = np.add, np.multiply
 
     def step(x):
@@ -114,10 +120,11 @@ def _rk4_stepper(rhs, stage, dt):
         rhs(k2)
         add(x, mul(half, k2, stage), stage)
         rhs(k3)
-        add(x, mul(dt, k3, stage), stage)
+        add(x, mul(full, k3, stage), stage)
         rhs(k4)
-        add(k1, mul(2, k2, k2), k1)  # ((k1 + 2 k2) + 2 k3) + k4, summed in place
-        add(k1, mul(2, k3, k3), k1)
+        mul(two, k23, k23)
+        add(k1, k2, k1)  # ((k1 + 2 k2) + 2 k3) + k4, summed in place
+        add(k1, k3, k1)
         add(k1, k4, k1)
         return x + mul(sixth, k1, k1)
 
@@ -145,7 +152,7 @@ def _coupled_logistic(spec: SystemSpec, p: dict) -> SignalMatrix:
 # Lorenz-96
 
 def _lorenz96(spec: SystemSpec, p: dict) -> SignalMatrix:
-    n_sites, forcing = p["n_sites"], p["forcing"]
+    n_sites, forcing = p["n_sites"], np.array(p["forcing"])  # 0-d: see _rk4_stepper
     rng = np.random.default_rng(spec.seed)
     x0 = forcing * np.ones(n_sites) + 0.01 * rng.standard_normal(n_sites)
     # sites i-2, i-1, i and i+1 as views of one buffer: the stage between a
@@ -171,9 +178,10 @@ def _lorenz96(spec: SystemSpec, p: dict) -> SignalMatrix:
 def _goy_model(spec: SystemSpec):
     """GOY set-up: the parameters (the spec's checked and laid over the
     defaults), the RK4 step of u' = (N(u) - nu k^2 u) + f, the nonlinear term
-    N (the step's own kernel, evaluated at a given state) and the seeded
-    initial state. N conserves total energy sum |u_n|^2. The shell indices
-    forced_shell and cuts must lie below n_shells."""
+    N (the step's own kernel, evaluated at a given state into one buffer
+    that the next call overwrites) and the seeded initial state. N
+    conserves total energy sum |u_n|^2. The shell indices forced_shell and
+    cuts must lie below n_shells."""
     p = spec.check_parameters()
     n = p["n_shells"]
     cuts = p["cuts"] = np.array(p["cuts"], dtype=int)
@@ -195,14 +203,15 @@ def _goy_model(spec: SystemSpec):
     # shells n-2 .. n+2 as views of one buffer: the stage between zero pads
     pad = np.zeros(n + 4, dtype=complex)
     um2, um1, u, up1, up2 = (pad[j:j + n] for j in range(5))
-    tmp = np.empty(n, dtype=complex)
+    tmp, nl = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    i = np.array(1j)  # 0-d: see _rk4_stepper
     mul, sub = np.multiply, np.subtract
 
     def nonlinear_at_stage(out):  # 1j conj(k u+1 u+2 - c1 u-1 u+1 - c2 u-1 u-2)
         mul(mul(kc, up1, out), up2, out)
         sub(out, mul(mul(c1, um1, tmp), up1, tmp), out)
         sub(out, mul(mul(c2, um1, tmp), um2, tmp), out)
-        return mul(1j, np.conjugate(out, out), out)
+        return mul(i, np.conjugate(out, out), out)
 
     def rhs(out):
         sub(nonlinear_at_stage(out), mul(damp, u, tmp), out)
@@ -210,7 +219,7 @@ def _goy_model(spec: SystemSpec):
 
     def nonlinear(v):
         np.copyto(u, v)
-        return nonlinear_at_stage(np.empty(n, dtype=complex))
+        return nonlinear_at_stage(nl)
 
     rng = np.random.default_rng(spec.seed)
     u0 = 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * k ** (-1 / 3)
@@ -225,10 +234,19 @@ def _goy_run(spec: SystemSpec) -> SignalMatrix:
         raise ValueError(f"goy-shell.sample_every must be <= (n_steps - transient_steps) // 2 = "
                          f"{most}, got {sample_every}")
 
+    # buffers of the flux row, kept for the whole run; `real` views `product`
+    product, rate = np.empty(len(u0), dtype=complex), np.empty(len(u0))
+    real, two = product.real, np.array(2.0)
+
     def flux(u):
         # energy flux through each cut: net rate at which the nonlinear
-        # term drains energy from the shells at and below the cut index
-        return -np.cumsum(2.0 * np.real(np.conj(u) * nonlinear(u)))[cuts]
+        # term drains energy from the shells at and below the cut index,
+        # -cumsum(2 Re(conj(u) N(u)))[cuts] with the negation exact, so
+        # taken after the cuts' entries are picked
+        np.multiply(np.conjugate(u, product), nonlinear(u), product)
+        np.add.accumulate(np.multiply(two, real, rate), out=rate)
+        row = rate[cuts]
+        return np.negative(row, row)
 
     rows, _ = _integrate(step, u0, spec, flux, sample_every)
     # exponential smoothing stands in for a volume average over the

@@ -170,6 +170,15 @@ def test_normalized_report():
     assert rep.normalized_leak == pytest.approx(0.0, abs=1e-12)
 
 
+def test_normalized_report_of_a_target_with_zero_entropy():
+    # a constant target has nothing to apportion: every share is 0.0
+    codes = np.column_stack([np.arange(40) % 4, np.zeros(40, dtype=int)])
+    rep = flux_report(FluxQuery(SymbolSeries(codes, (4, 2)), target=1))
+    assert rep.target_entropy == 0.0
+    assert rep.normalized == {(0,): 0.0, (1,): 0.0, (0, 1): 0.0}
+    assert rep.normalized_leak == 0.0
+
+
 def test_flux_max_order_truncation():
     fx = SUITE["xor"]
     rep = flux_report(FluxQuery(fx.sample(2000, seed=2), target=2, max_order=1))

@@ -138,6 +138,66 @@ def test_causality_missing_source_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("config, zero_entropy_targets", [
+    # two samples at lag 58: every target is constant
+    pytest.param({"system": {"kind": "lorenz96", "n_steps": 60, "transient_steps": 0,
+                             "parameters": {"n_sites": 4}}, "lag": 58},
+                 ["x0", "x1", "x2", "x3"], id="lorenz96 lag 58"),
+    # the uncontrolled plant's action A is constant, one uniform-width bin
+    pytest.param({"system": {"kind": "linear-plant", "n_steps": 58, "transient_steps": 0},
+                  "lag": 34, "scheme": "uniform-width"}, ["A"], id="linear-plant lag 34"),
+])
+def test_causality_of_a_target_with_zero_entropy_exits_0(tmp_path, config, zero_entropy_targets):
+    # these exited 5 with "error: ZeroDivisionError: float division by zero"
+    code, out = run(tmp_path, "causality", config)
+    assert code == 0
+    leaks = json.loads((out / "report.json").read_text())["leak_fractions"]
+    assert [leaks[name] for name in zero_entropy_targets] == [0.0] * len(zero_entropy_targets)
+
+
+# small runs of every system kind that no draw below can make blow up
+CAUSALITY_SYSTEMS = {
+    "lorenz96": st.fixed_dictionaries({"n_sites": st.integers(4, 6),
+                                       "forcing": st.floats(-10.0, 10.0)}),
+    "coupled-logistic": st.fixed_dictionaries({"coupling": st.floats(0.0, 1.0)}),
+    "goy-shell": st.fixed_dictionaries({"n_shells": st.integers(13, 19),
+                                        "sample_every": st.integers(1, 5)}),
+    "linear-plant": st.fixed_dictionaries({"a": st.floats(-0.95, 0.95),
+                                           "theta_s": st.floats(0.0, 4.0)}),
+    "symbolic-map": st.fixed_dictionaries({"name": st.sampled_from(params.FIXTURES)}),
+}
+
+
+@st.composite
+def causality_configs(draw):
+    kind = draw(st.sampled_from(sorted(CAUSALITY_SYSTEMS)))
+    n_steps = draw(st.integers(12, 400))
+    transient = draw(st.integers(0, 10))
+    return {"system": {"kind": kind, "n_steps": n_steps, "transient_steps": transient,
+                       "seed": draw(st.integers(0, 3)),
+                       "parameters": draw(CAUSALITY_SYSTEMS[kind])},
+            "lag": draw(st.integers(1, n_steps)), "order": draw(st.integers(1, 3)),
+            "bins": draw(st.integers(2, 12)),
+            "scheme": draw(st.sampled_from(params.SECTIONS["causality"]["scheme"][2]))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(causality_configs())
+def test_causality_on_any_small_system_exits_with_a_documented_code(config):
+    # 0 (run), 1 (identity check failed) or 2 (refused), in one line at most
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", discretization.OccupancyWarning)
+        cfg = Path(d) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["causality", "--config", str(cfg), "--out", str(Path(d) / "out")])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), (config, lines)
+    assert len([line for line in lines if line.startswith("error:")]) <= 1, lines
+    assert "Traceback" not in err.getvalue()
+
+
 def test_fit_converges_and_reports(tmp_path):
     code, out = run(tmp_path, "fit", {
         "true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8],

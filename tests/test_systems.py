@@ -193,6 +193,7 @@ def _goy_drift_oracle(spec):
     ({"sample_every": 3, "cuts": [2, 9]}, 601, 0),  # step 600 starts a period that does not fit
     ({"sample_every": 1, "smooth_time": 0.0, "n_shells": 12, "cuts": [0, 11], "eps": 0.3,
       "forced_shell": 0}, 300, 37),
+    ({"cuts": [8, 2, 2], "sample_every": 2}, 400, 20),  # unsorted and repeated cuts
 ])
 def test_goy_run_matches_former_loop(params, n_steps, transient):
     for seed in (0, 5):
@@ -261,6 +262,34 @@ def test_lorenz96_stepper_matches_roll_form_bit_for_bit(n_sites, forcing, dt, se
     step = lambda x: _rk4_step(lambda v: _lorenz96_rhs_roll(v, forcing), x, dt)
     expected = _outcome(lambda: _integrate(step, x0, spec, lambda x: x)[0])
     assert _outcome(lambda: simulate(spec).values) == expected
+
+
+class _Recording:
+    """A ufunc that records the operands of each call (methods such as
+    accumulate pass through unrecorded)."""
+
+    def __init__(self, ufunc, operands):
+        self.ufunc, self.operands = ufunc, operands
+
+    def __call__(self, *args, **kwargs):
+        self.operands.extend(args)
+        return self.ufunc(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.ufunc, name)
+
+
+def test_integrated_runs_pass_numpy_no_python_scalar(monkeypatch):
+    # a Python scalar operand costs NumPy a cast on every call: the constants
+    # of the RK4 stepper, both right-hand sides and the GOY flux row are 0-d
+    # arrays, bound when the model is built, so the ufuncs are wrapped first
+    operands = []
+    for name in ("multiply", "add", "subtract"):
+        monkeypatch.setattr(np, name, _Recording(getattr(np, name), operands))
+    simulate(SystemSpec("goy-shell", {"sample_every": 1}, n_steps=4, transient_steps=0))
+    simulate(SystemSpec("lorenz96", {"n_sites": 5}, n_steps=3, transient_steps=0))
+    assert len(operands) > 100
+    assert [op for op in operands if not isinstance(op, np.ndarray)] == []
 
 
 def test_goy_signal_shape_and_names():

@@ -109,8 +109,10 @@ def _subset_entropies(joint: JointPMF, variables, order: int, present=None):
     removable = [v + 1 for v in variables]
     target_stride = math.prod(joint.dims[1:])  # cells % stride zeroes the target digit
     if present is None:
-        present = _entropy_table(_count_codes(cells % target_stride, weights), joint.dims,
-                                 removable, order)
+        # the present variables' tally; its target digit is always 0, so the
+        # walk takes that alphabet as 1 and sizes marginals by present cells
+        present = _entropy_table(_count_codes(cells % target_stride, weights),
+                                 (1,) + joint.dims[1:], removable, order)
     with_target = _entropy_table(tally, joint.dims, removable, order)
     target_entropy = _weights_entropy(_count_codes(cells // target_stride, weights)[1])
     return with_target, present, target_entropy

@@ -7,6 +7,8 @@ fails, 2 on config or input errors, 3 when a fit fails to converge, 4 on
 a numerical blow-up of any simulator and 5 on any other error. Configs
 are checked against the parameter table (params) before any work. Reports
 embed the resolved config and repeat byte for byte for a config and seed.
+Each command imports the modules it runs when it starts, so a job compiles
+only those.
 """
 
 from __future__ import annotations
@@ -14,20 +16,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import causality, control, infocore, modeling, params, systems
-from .discretization import PartitionSpec, SymbolSeries, discretize
-from .modeling import ModelParams
-from .pmf import JointPMF
-from .signals import SignalMatrix, read_csv, write_csv
-from .systems import NumericalBlowup, SystemSpec
-
-log = logging.getLogger(__name__)
+from . import params
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -75,7 +69,10 @@ def _write_report(out_dir: Path, payload: dict):
 # Each command takes the config as given (see _given), the same config
 # resolved by the parameter table, and the run directory.
 def cmd_simulate(given: dict, cfg: dict, out_dir: Path) -> int:
-    spec = SystemSpec(**given["system"])  # the report keeps the parameters as given
+    from . import systems
+    from .signals import write_csv
+
+    spec = systems.SystemSpec(**given["system"])  # the report keeps the parameters as given
     signal = systems.simulate(spec)
     write_csv(signal, out_dir / "signal.csv")
     _write_report(out_dir, {
@@ -89,18 +86,27 @@ def cmd_simulate(given: dict, cfg: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _load_signal(given: dict, cfg: dict) -> SignalMatrix:
+def _load_signal(given: dict, cfg: dict):
     if cfg["input"] is not None:
+        from .signals import read_csv
+
         path = Path(cfg["input"])
         if not path.exists():
             raise ConfigError(f"input file {path} does not exist")
         return read_csv(path)
     if cfg["system"] is not None:
-        return systems.simulate(SystemSpec(**given["system"]))
+        from . import systems
+
+        return systems.simulate(systems.SystemSpec(**given["system"]))
     raise ConfigError("causality needs either 'input' or 'system'")
 
 
 def cmd_causality(given: dict, cfg: dict, out_dir: Path) -> int:
+    import logging
+
+    from . import causality
+    from .discretization import PartitionSpec, discretize
+
     lag, order, bins, tol = cfg["lag"], cfg["order"], cfg["bins"], cfg["identity_tolerance"]
     signal = _load_signal(given, cfg)
     symbols = discretize(signal, PartitionSpec(scheme=cfg["scheme"], bins_per_variable=bins))
@@ -114,6 +120,7 @@ def cmd_causality(given: dict, cfg: dict, out_dir: Path) -> int:
             label = "+".join(signal.names[v] for v in subset)
             fh.write(label + "," + ",".join(repr(float(v)) for v in cmap.values[s]) + "\n")
 
+    log = logging.getLogger(__name__)
     leaks = {}
     residuals = {}
     for name, rep in zip(signal.names, reports):
@@ -137,6 +144,9 @@ def cmd_causality(given: dict, cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_fit(given: dict, cfg: dict, out_dir: Path) -> int:
+    from . import modeling
+    from .discretization import PartitionSpec
+
     family, n_samples, seed, bins = cfg["family"], cfg["n_samples"], cfg["seed"], cfg["bins"]
     true_theta, init_theta = (np.asarray(cfg[k], dtype=float) for k in ("true_theta", "init_theta"))
     for key, theta in (("true_theta", true_theta), ("init_theta", init_theta)):
@@ -152,7 +162,8 @@ def cmd_fit(given: dict, cfg: dict, out_dir: Path) -> int:
     spec = PartitionSpec("explicit-edges", edges=(np.linspace(low - 1.0, high + 1.0, bins + 1),))
     model_pmf = lambda theta: model.pmf(theta, spec)
     fitted, trace = modeling.kl_descent(model_pmf, model_pmf(true_theta),
-                                        ModelParams(init_theta, cfg["bounds"]), cfg["options"])
+                                        modeling.ModelParams(init_theta, cfg["bounds"]),
+                                        cfg["options"])
     trace.write_csv(out_dir / "trace.csv")
 
     report = {
@@ -177,6 +188,10 @@ def cmd_fit(given: dict, cfg: dict, out_dir: Path) -> int:
 
 
 def _run_ml_check(p_true, p_grid, n_samples, seed):
+    from . import modeling
+    from .discretization import SymbolSeries
+    from .pmf import JointPMF
+
     rng = np.random.default_rng(seed)
     codes = (rng.random(n_samples) < p_true).astype(np.int64)[:, None]
     family = lambda p: JointPMF.from_mapping({(0,): 1 - p, (1,): p}, (2,))
@@ -190,6 +205,8 @@ def _run_ml_check(p_true, p_grid, n_samples, seed):
 
 
 def cmd_control(given: dict, cfg: dict, out_dir: Path) -> int:
+    from . import control, systems
+
     plant = systems.LinearPlant(**cfg["plant"])
     t = cfg["target"]
     target = control.ControlTarget(t["mu"], t["sigma"], t["relax_mu"], t["relax_sigma"])
@@ -218,6 +235,9 @@ def cmd_control(given: dict, cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_fixtures(given: dict, cfg: dict, out_dir: Path) -> int:
+    from . import infocore, systems
+    from .signals import SignalMatrix, write_csv
+
     suite = systems.symbolic_map_suite()
     catalog = {}
     for name, fx in sorted(suite.items()):
@@ -288,14 +308,16 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](given, cfg, out_dir)
-    except NumericalBlowup as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLANT_FAILURE
     except (ValueError, OSError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # a fault of the program, not of the config
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # only a command that imported the simulators can raise their blow-up
+        systems = sys.modules.get(f"{__package__}.systems")
+        if systems is not None and isinstance(exc, systems.NumericalBlowup):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PLANT_FAILURE
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)  # a fault of the program
         return EXIT_INTERNAL
 
 

@@ -91,10 +91,15 @@ class SymbolSeries:
 def _quantile_codes(x: np.ndarray, n_bins: int) -> np.ndarray:
     # Equal-count binning via stable rank: ties broken by sample order so
     # repeated values fill lower bins first, and any strictly increasing
-    # transform of x yields identical codes.
+    # transform of x yields identical codes. Without ties every sort gives
+    # that rank, so the stable one runs only when neighbours in sorted
+    # order are not strictly increasing.
     if x.max() == x.min():
         raise ValueError("degenerate variable: constant column under quantile scheme")
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)
+    ranked = x[order]
+    if not (ranked[1:] > ranked[:-1]).all():
+        order = np.argsort(x, kind="stable")
     codes = np.empty(x.shape[0], dtype=np.int64)
     codes[order] = np.arange(x.shape[0], dtype=np.int64) * n_bins // x.shape[0]
     return codes

@@ -50,8 +50,8 @@ def _weights_entropy(weights) -> float:
     """Entropy (bits) of the distribution proportional to positive `weights`
     (counts or masses): -sum(p log2 p) with p = weights / sum(weights). A
     single cell has entropy +0.0 (0.0 - 0.0, where negating would give -0.0)."""
-    p = weights / weights.sum()
-    return float(0.0 - (p * np.log2(p)).sum())
+    p = weights / np.add.reduce(weights)
+    return float(0.0 - np.add.reduce(p * np.log2(p)))
 
 
 def conditional_entropy(pmf: JointPMF, target, given) -> float:

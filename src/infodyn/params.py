@@ -37,7 +37,7 @@ SECTIONS = {
         "input": (PATH, None, None), "system": (SECTION, None, "system"),
         "lag": (INT, 1, ">= 1"), "order": (INT, 1, ">= 1 and <= 3"), "bins": (INT, 8, ">= 2"),
         "scheme": (NAME, "equiprobable-quantile", SCHEMES[:2]),  # a config gives no edges
-        "identity_tolerance": (FLOAT, 1e-10, None)},
+        "identity_tolerance": (FLOAT, 1e-10, ">= 0")},
     "fit": {
         "family": (NAME, "affine-noise", ("affine-noise",)),
         "true_theta": (FLOAT_LIST, REQUIRED, None), "init_theta": (FLOAT_LIST, REQUIRED, None),
@@ -48,8 +48,8 @@ SECTIONS = {
         "tol": (FLOAT, 1e-6, ">= 0"), "max_iters": (INT, 200, ">= 1"),
         "epsilon": (FLOAT, 1e-9, "> 0"), "initial_step": (FLOAT, 0.05, "> 0")},
     "ml_check": {
-        "p_true": (FLOAT, 0.3, None),
-        "p_grid": (FLOAT_LIST, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), None),
+        "p_true": (FLOAT, 0.3, ">= 0 and <= 1"),
+        "p_grid": (FLOAT_LIST, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), ">= 0 and <= 1"),
         "n_samples": (INT, 1000, ">= 1"),
         "seed": (INT, None, ">= 0")},  # none: the fit's seed
     "control": {
@@ -153,9 +153,11 @@ def _value(kind, value, detail, path):
         return _in_range(number, detail, path)
     if kind in (FLOAT_LIST, MATRIX):
         try:
-            np.asarray(value, dtype=float)
+            numbers = np.ravel(np.asarray(value, dtype=float)).tolist()
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{path} must be a {kind} of numbers, got {value!r}") from None
+        for i, number in enumerate(numbers):  # each entry in range, as for an INT_LIST
+            _in_range(number, detail, f"{path}[{i}]")
     elif kind == NAME and not (isinstance(value, str) and value in detail):
         raise ValueError(f"{path} must be one of {list(detail)}, got {value!r}")
     elif kind == PATH and not isinstance(value, str):

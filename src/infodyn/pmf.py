@@ -7,7 +7,8 @@ its int64 row-major index (`_cell_codes`), and one kernel, `_count_codes`,
 tallies every support: a JointPMF holds distinct codes in increasing order,
 duplicate rows summed, in memory that follows the rows, not the cells.
 `_marginal_walk` derives a whole lattice of marginals from one such tally,
-each from its parent, without building a JointPMF per marginal.
+each from its parent, without building a JointPMF per marginal; count
+marginals with no more cells than rows are held as dense arrays.
 """
 
 from __future__ import annotations
@@ -182,20 +183,25 @@ def _count_codes(codes, weights=None, n_cells=None):
     """Distinct cell codes in increasing order, each with the summed
     `weights` of its rows (its row count when `weights` is None). Counts
     densely when there are no more cells (`n_cells`) than rows, else by a
-    stable sort of the codes, so memory follows the rows. Either way each
-    cell's weights are summed one by one in input order, so float totals
-    are reproducible; integer or absent weights give exact int64 totals."""
+    sort of the codes, so memory follows the rows. Float weights are summed
+    one by one in input order (the sort is stable), so float totals are
+    reproducible; integer or absent weights give exact int64 totals, which
+    no order of equal codes changes, so their sort need not be stable."""
+    exact = weights is None or np.issubdtype(weights.dtype, np.integer)
     if n_cells is not None and n_cells <= len(codes):
         totals = np.bincount(codes, weights)
         cells = np.flatnonzero(totals)
         totals = totals[cells]
     else:
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
+        if weights is None:
+            codes = np.sort(codes)
+        else:
+            order = np.argsort(codes, kind=None if exact else "stable")
+            codes, weights = codes[order], weights[order]
         first = np.concatenate(([True], codes[1:] != codes[:-1]))
         cells = codes[first]
-        totals = np.bincount(np.cumsum(first) - 1, None if weights is None else weights[order])
-    if weights is None or np.issubdtype(weights.dtype, np.integer):
+        totals = np.bincount(np.cumsum(first) - 1, weights)
+    if exact:
         totals = totals.astype(np.int64)
     return cells, totals
 
@@ -204,26 +210,57 @@ def _marginal_walk(cells, weights, dims, removable, depth):
     """Depth-first walk over the marginals of the tally (cells, weights) on
     alphabets `dims` that sum out at most `depth` of the dimensions in
     `removable`. Yields (removed, cells, weights) for each one, with
-    `removed` the bitmask of summed-out dimensions and `cells` the codes
-    with those digits set to 0: the tally of the kept columns, in
-    lexicographic order. A child is counted from its parent's occupied
-    cells by zeroing one digit; digits are removed in decreasing order, so
-    each subset is reached by one path, and at most depth + 1 tallies are
-    alive at a time."""
-    strides = [math.prod(dims[d + 1:]) for d in range(len(dims))]
-    removable = sorted(removable)
+    `removed` the bitmask of summed-out dimensions and (cells, weights) the
+    tally of the kept columns: `cells` their codes over their own
+    alphabets, increasing. Digits are removed in decreasing order, so each
+    subset is reached by one path, dimension d is still axis d of its
+    parent, and at most depth + 1 tallies are alive at a time.
 
-    def walk(cells, weights, removed, below, depth):
+    A child is counted from its parent's occupied cells with digit d taken
+    out of the codes. Integer counts sum exactly in any order, so a count
+    marginal with no more cells than the tally counts rows (the rule of
+    `_count_codes`) is held as a dense array, and each of its children is
+    one axis sum; its nonzero entries in row-major order are the sparse
+    tally, in code order. Float masses keep the sparse walk, whose sums
+    are ordered."""
+    removable = sorted(removable)
+    dense_cells = int(weights.sum()) if np.issubdtype(weights.dtype, np.integer) else -1
+
+    def children(shape, below):
+        """(d, prod(shape[:d]), prod(shape[d + 1:])) of each digit d to remove."""
+        for d in removable:
+            if d >= below:
+                break
+            yield d, math.prod(shape[:d]), math.prod(shape[d + 1:])
+
+    def tally(codes, weights, shape, removed, below, depth):
+        n_cells = math.prod(shape)
+        if n_cells <= dense_cells:
+            counts = np.bincount(codes, weights, n_cells).astype(np.int64)
+            return dense(counts, shape, removed, below, depth)
+        return sparse(*_count_codes(codes, weights), shape, removed, below, depth)
+
+    def sparse(cells, weights, shape, removed, below, depth):
         yield removed, cells, weights
         if depth > 0:
-            for d in removable:
-                if d >= below:
-                    break
-                s, b = strides[d], dims[d]
-                child = _count_codes(cells - cells // s % b * s, weights)
-                yield from walk(*child, removed | 1 << d, d, depth - 1)
+            for d, _, s in children(shape, below):
+                codes = cells // (s * shape[d]) * s + cells % s
+                yield from tally(codes, weights, shape[:d] + shape[d + 1:], removed | 1 << d, d,
+                                 depth - 1)
 
-    yield from walk(cells, weights, 0, len(dims), depth)
+    def dense(counts, shape, removed, below, depth):
+        cells = counts.nonzero()[0]
+        yield removed, cells, counts[cells]
+        if depth > 0:
+            for d, a, c in children(shape, below):
+                # einsum sums axis d in one pass however few cells follow it,
+                # where ndarray.sum(axis=d) slows down several times
+                child = np.einsum("abc->ac", counts.reshape(a, shape[d], c)).reshape(-1)
+                yield from dense(child, shape[:d] + shape[d + 1:], removed | 1 << d, d, depth - 1)
+
+    dims = tuple(dims)
+    root = tally if math.prod(dims) <= dense_cells else sparse  # a sparse root is a tally already
+    yield from root(cells, weights, dims, 0, len(dims), depth)
 
 
 def condition(pmf: JointPMF, given) -> JointPMF:

@@ -1,3 +1,4 @@
+import math
 import time
 import warnings
 from itertools import combinations, product
@@ -21,7 +22,7 @@ from infodyn.causality import (
     information_leak,
 )
 from infodyn.discretization import OccupancyWarning, SymbolSeries, estimate_joint_pmf
-from infodyn.pmf import JointPMF, _marginal_walk
+from infodyn.pmf import JointPMF, _cell_codes, _count_codes, _marginal_walk
 from infodyn.signals import SignalMatrix
 from infodyn.systems import symbolic_map_suite
 from test_pmf import unique_tally
@@ -335,12 +336,62 @@ def test_walk_counts_every_marginal_as_a_fresh_tally(symbols, lag):
         if not kept:
             assert cells.tolist() == [0] and counts.tolist() == [n_valid]
             continue
-        indices, want = unique_tally([columns[d] for d in kept], [dims[d] for d in kept])
-        got = np.column_stack(np.unravel_index(cells, dims))[:, kept]
+        kept_dims = [dims[d] for d in kept]
+        indices, want = unique_tally([columns[d] for d in kept], kept_dims)
+        got = np.column_stack(np.unravel_index(cells, kept_dims))
         assert np.array_equal(got, indices)
         assert np.array_equal(counts, want)
     # each subset of dimensions once
     assert sorted(seen) == list(range(2 ** len(dims)))
+
+
+def sparse_walk(cells, weights, dims, removable, depth):
+    """Oracle: the walk before its dense tail. Every marginal is a sparse
+    tally of codes over the full `dims` with the summed-out digits set to 0,
+    counted from its parent's occupied cells by zeroing one digit and
+    sorting the codes stably."""
+    strides = [math.prod(dims[d + 1:]) for d in range(len(dims))]
+    removable = sorted(removable)
+
+    def walk(cells, weights, removed, below, depth):
+        yield removed, cells, weights
+        if depth > 0:
+            for d in removable:
+                if d >= below:
+                    break
+                s, b = strides[d], dims[d]
+                child = _count_codes(cells - cells // s % b * s, weights)
+                yield from walk(*child, removed | 1 << d, d, depth - 1)
+
+    yield from walk(cells, weights, 0, len(dims), depth)
+
+
+@pytest.mark.parametrize("weighting", ["counts", "probs"])
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dense_tail_yields_the_tallies_of_the_sparse_walk(weighting, data):
+    dims = tuple(data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=6)))
+    # rows on both sides of the cell count, so that the walk runs sparse,
+    # dense, or turns dense partway down
+    n_rows = data.draw(st.integers(1, 2 * math.prod(dims)))
+    removable = data.draw(st.lists(st.integers(0, len(dims) - 1), unique=True))
+    depth = data.draw(st.integers(0, len(dims)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    columns = rng.integers(0, dims, size=(n_rows, len(dims))).T
+    cells, counts = _count_codes(_cell_codes(columns, dims))
+    weights = counts if weighting == "counts" else counts / n_rows
+    want = list(sparse_walk(cells, weights, dims, removable, depth))
+    got = list(_marginal_walk(cells, weights, dims, removable, depth))
+    assert [m for m, _, _ in got] == [m for m, _, _ in want]
+    for (removed, got_cells, got_weights), (_, zeroed, want_weights) in zip(got, want):
+        kept = [d for d in range(len(dims)) if not removed >> d & 1]
+        # the oracle's codes recoded over the kept dims (the empty marginal's is 0)
+        digits = np.unravel_index(zeroed, dims)
+        want_cells = np.ravel_multi_index([digits[d] for d in kept] or [zeroed],
+                                          [dims[d] for d in kept] or [1])
+        assert np.array_equal(got_cells, want_cells)
+        assert got_weights.dtype == want_weights.dtype
+        assert np.array_equal(got_weights, want_weights)  # bitwise, also for float masses
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infodyn import cli, control, discretization, modeling, params, systems
+from infodyn import causality, cli, control, discretization, modeling, params, systems
 from infodyn.cli import main
 from infodyn.discretization import PartitionSpec, discretize, estimate_joint_pmf
 from infodyn.modeling import ModelParams
@@ -75,11 +75,22 @@ def test_causality_from_system(tmp_path):
     assert header == "subset,to_x,to_y"
 
 
-def test_causality_identity_failure_exits_1(tmp_path, capsys, caplog):
+def test_causality_identity_failure_exits_1(tmp_path, capsys, caplog, monkeypatch):
+    # A tolerance below 0 is refused, and this run's residuals are 0, so the
+    # failure comes from leaks moved by 1e-9 bits, past the default 1e-10
+    flux_reports = causality.flux_reports
+
+    def leaks_moved(symbols, lag):
+        reports = flux_reports(symbols, lag)
+        for rep in reports:
+            rep.leak += 1e-9
+        return reports
+
+    monkeypatch.setattr(causality, "flux_reports", leaks_moved)
     caplog.set_level(logging.INFO, logger="infodyn.cli")
     code, out = run(tmp_path, "causality", {
         "system": {"kind": "coupled-logistic", "n_steps": 5000, "transient_steps": 500, "seed": 2},
-        "bins": 4, "identity_tolerance": -1,
+        "bins": 4,
     })
     assert code == 1
     report = json.loads((out / "report.json").read_text())
@@ -353,6 +364,17 @@ FIT = {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8], "n_samples": 1000}
     pytest.param("causality", {"system": {"kind": "coupled-logistic"}, "scheme": "explicit-edges"},
                  "scheme must be one of ['equiprobable-quantile', 'uniform-width'], got 'explicit-edges'",
                  id="causality scheme explicit-edges"),
+    # every run exited 1: no residual is below a negative tolerance
+    pytest.param("causality", {"system": {"kind": "coupled-logistic"}, "identity_tolerance": -1},
+                 "identity_tolerance must be >= 0, got -1.0", id="causality identity_tolerance -1"),
+    # was accepted, and the check then read agree: true at 0.9
+    pytest.param("fit", {**FIT, "ml_check": {"p_true": 1.5}},
+                 "ml_check.p_true must be >= 0 and <= 1, got 1.5", id="fit ml_check p_true 1.5"),
+    # was "total mass 1.5 not 1", naming no key
+    pytest.param("fit", {**FIT, "ml_check": {"p_grid": [1.5, -0.5]}},
+                 "ml_check.p_grid[0] must be >= 0 and <= 1, got 1.5", id="fit ml_check p_grid 1.5"),
+    pytest.param("fit", {**FIT, "ml_check": {"p_grid": [0.5, -0.5]}},
+                 "ml_check.p_grid[1] must be >= 0 and <= 1, got -0.5", id="fit ml_check p_grid -0.5"),
 ])
 def test_refuses_a_bad_field_in_one_line_naming_it(tmp_path, capsys, command, config, message):
     code, _ = run(tmp_path, command, config)
@@ -412,8 +434,9 @@ KIND_PARAMETERS = {"symbolic-map": {"name": "xor"}}
 
 def _past_bounds(kind, detail):
     """Values just outside each condition of the range `detail`."""
-    if kind not in (params.INT, params.FLOAT, params.INT_LIST) or not detail:
+    if kind not in (params.INT, params.FLOAT, params.INT_LIST, params.FLOAT_LIST) or not detail:
         return []
+    integral = kind in (params.INT, params.INT_LIST)
     out = []
     for condition in detail.split(" and "):
         if condition == "finite":
@@ -421,12 +444,12 @@ def _past_bounds(kind, detail):
             continue
         op, bound = condition.split()
         bound = float(bound)
-        down, up = (bound - 1, bound + 1) if kind != params.FLOAT else (
+        down, up = (bound - 1, bound + 1) if integral else (
             math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf))
         out.append({">=": down, ">": bound, "<=": up, "<": bound}[op])
-    if kind != params.FLOAT:
+    if integral:
         out = [int(v) for v in out]
-    return [[v] for v in out] if kind == params.INT_LIST else out
+    return [[v] for v in out] if kind in (params.INT_LIST, params.FLOAT_LIST) else out
 
 
 def _violations():
@@ -791,6 +814,41 @@ def test_huge_allocation_exits_5_in_one_line(tmp_path, command, config, size):
     assert done.returncode == cli.EXIT_INTERNAL == 5
     assert done.stderr.startswith(f"error: MemoryError: Unable to allocate {size} for an array ")
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+# A child process that runs the CLI, then prints the infodyn modules loaded
+LOADED_BY_MAIN = """import sys
+from infodyn.cli import main
+code = main(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("infodyn."))))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command, config, not_loaded", [
+    ("simulate", {"system": {"kind": "coupled-logistic", "n_steps": 300, "transient_steps": 0}},
+     {"causality", "control", "descent", "modeling"}),
+    ("causality", {"input": "signal.csv", "bins": 2},
+     {"control", "descent", "modeling", "systems"}),
+    ("fit", {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8], "bounds": [[-2, 2], [0.1, 3]],
+             "n_samples": 50000, "ml_check": {}}, {"causality", "control", "systems"}),
+    ("control", {"options": {"n_steps": 400, "transient": 100, "outer_iters": 1,
+                             "inner_iters": 1}}, {"causality", "modeling"}),
+    ("fixtures", {"name": "xor"}, {"causality", "control", "descent", "modeling"}),
+], ids=["simulate", "causality from a CSV", "fit", "control", "fixtures"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, config, not_loaded):
+    # each module is compiled at start-up when no bytecode is cached
+    write_csv(SignalMatrix(np.random.default_rng(0).standard_normal((50, 2)), ("x", "y")),
+              tmp_path / "signal.csv")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", LOADED_BY_MAIN, command, "--config", str(cfg),
+                           "--out", "out"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = {m.split(".")[1] for m in done.stdout.split()}
+    assert "cli" in loaded and loaded & not_loaded == set()
 
 
 def test_control_search_starts_from_the_target_relaxation(tmp_path):

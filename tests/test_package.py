@@ -1,9 +1,11 @@
 """The package's public names: every name a module lists in `__all__`
-exists, and every name `infodyn/__init__.py` imports is listed there."""
+exists, and every name `infodyn/__init__.py` loads lazily is listed there."""
 
-import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,11 +23,25 @@ def test_every_name_in_all_exists(module):
 
 
 def test_every_name_the_package_imports_is_public():
-    tree = ast.parse(Path(infodyn.__file__).read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"infodyn.{node.module}")
-        names = [alias.name for alias in node.names]
-        assert [n for n in names if n not in module.__all__] == [], node.module
+    assert infodyn._NAMES
+    for module_name, names in infodyn._NAMES.items():
+        module = importlib.import_module(f"infodyn.{module_name}")
+        assert [n for n in names if n not in module.__all__] == [], module_name
         assert all(getattr(infodyn, n) is getattr(module, n) for n in names)
+
+
+def test_importing_the_package_loads_no_module_until_a_name_is_used():
+    script = ("import sys, infodyn\n"
+              "before = sorted(m for m in sys.modules if m.startswith('infodyn.'))\n"
+              "infodyn.entropy\n"
+              "after = sorted(m for m in sys.modules if m.startswith('infodyn.'))\n"
+              "print(before, after)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(infodyn.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[] ['infodyn.infocore', 'infodyn.pmf']"
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        infodyn.nope

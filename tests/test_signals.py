@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from infodyn.discretization import (
     PartitionSpec,
     SymbolSeries,
     _edge_codes,
+    _quantile_codes,
     discretize,
     estimate_joint_pmf,
 )
@@ -58,6 +59,43 @@ def test_quantile_codes_invariant_under_monotone_transform():
     a = discretize(SignalMatrix(x[:, None], ("x",)), PartitionSpec())
     b = discretize(SignalMatrix(np.exp(x)[:, None], ("x",)), PartitionSpec())
     assert np.array_equal(a.codes, b.codes)
+
+
+def stable_rank_codes(x, n_bins):
+    """Oracle: quantile codes ranked by a stable sort for every column."""
+    order = np.argsort(x, kind="stable")
+    codes = np.empty(x.shape[0], dtype=np.int64)
+    codes[order] = np.arange(x.shape[0], dtype=np.int64) * n_bins // x.shape[0]
+    return codes
+
+
+@st.composite
+def columns_with_ties(draw):
+    """A column of distinct values, few values, signed zeros, or a long
+    constant run, in any order."""
+    n = draw(st.integers(2, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["distinct", "few values", "signed zeros", "constant run"]))
+    if kind == "distinct":
+        x = rng.standard_normal(n)
+    elif kind == "few values":
+        x = rng.integers(0, draw(st.integers(2, 5)), n).astype(float)
+    elif kind == "signed zeros":
+        x = rng.choice([-0.0, 0.0, -1.0, 1.0], n)
+    else:
+        x = rng.standard_normal(n)
+        start = draw(st.integers(0, n - 1))
+        x[start:draw(st.integers(start, n))] = x[start]
+    order = draw(st.sampled_from(["as drawn", "sorted", "reversed"]))
+    return x if order == "as drawn" else np.sort(x)[::1 if order == "sorted" else -1].copy()
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns_with_ties(), st.integers(2, 9))
+def test_quantile_codes_match_the_stable_rank(x, n_bins):
+    # ties keep their sample order; without ties any sort gives that rank
+    assume(x.max() != x.min())
+    assert np.array_equal(_quantile_codes(x, n_bins), stable_rank_codes(x, n_bins))
 
 
 def test_constant_column_rejected_under_quantile():

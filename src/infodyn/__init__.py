@@ -9,9 +9,8 @@ import importlib
 
 # each public name of the package, by the module that defines it
 _NAMES = {
-    "causality": ("CausalityMap", "FluxQuery", "FluxReport", "causality_map", "correlation_map",
-                  "flux_report", "flux_report_from_pmf", "flux_reports", "information_flux",
-                  "information_leak"),
+    "causality": ("CausalityMap", "FluxReport", "causality_map", "correlation_map", "flux_report",
+                  "flux_report_from_pmf", "flux_reports", "information_flux"),
     "control": ("ControllerParams", "ControlTarget", "build_auxiliary_target",
                 "channel_capacity", "classify_loop", "controllability", "kl_objective",
                 "missing_information", "noisy_observability_bound", "observability",
@@ -23,7 +22,7 @@ _NAMES = {
     "modeling": ("ModelAssessment", "ModelParams", "expected_error_lower_bound",
                  "fano_error_probability_bound", "kl_fit", "ml_equivalence_check",
                  "pinsker_statistical_bound"),
-    "pmf": ("JointPMF", "condition", "marginalize"),
+    "pmf": ("JointPMF", "marginalize"),
     "signals": ("SignalMatrix", "read_csv", "write_csv"),
     "systems": ("LinearPlant", "NumericalBlowup", "SystemSpec", "simulate", "symbolic_map_suite"),
 }

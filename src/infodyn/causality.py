@@ -22,11 +22,9 @@ from .pmf import JointPMF, _count_codes, _marginal_walk
 from .signals import SignalMatrix
 
 __all__ = [
-    "FluxQuery",
     "FluxReport",
     "CausalityMap",
     "information_flux",
-    "information_leak",
     "flux_report",
     "flux_reports",
     "flux_report_from_pmf",
@@ -35,26 +33,6 @@ __all__ = [
 ]
 
 SUBSET_CAP = 2**20
-
-
-@dataclass(frozen=True)
-class FluxQuery:
-    """Target variable, lag (in samples), and maximum subset order."""
-
-    symbols: SymbolSeries
-    target: int
-    lag: int = 1
-    max_order: int | None = None
-
-    def __post_init__(self):
-        if not 0 <= self.target < self.symbols.n_variables:
-            raise ValueError(f"invalid target index {self.target}")
-        if self.lag < 1:
-            raise ValueError("lag must be >= 1")
-        order = self.max_order if self.max_order is not None else self.symbols.n_variables
-        if not 1 <= order <= self.symbols.n_variables:
-            raise ValueError("max_order out of range")
-        object.__setattr__(self, "max_order", order)
 
 
 @dataclass
@@ -87,104 +65,102 @@ def _check_lattice_size(n_variables: int, order: int):
         raise ValueError(f"flux lattice ({n_sets} conditioning sets) exceeds cap {SUBSET_CAP}")
 
 
-def _entropy_table(tally, dims, removable, depth) -> dict[int, float]:
-    """Entropy of each marginal of `tally` that sums out at most `depth` of
-    the dimensions in `removable`, keyed by the bitmask of the summed-out
-    present variables (present variable v lives at dim v + 1)."""
-    return {removed >> 1: _weights_entropy(w)
-            for removed, _, w in _marginal_walk(*tally, dims, removable, depth)}
+def _checked_order(symbols: SymbolSeries, lag: int, max_order: int | None, target: int = 0) -> int:
+    """`max_order` (None: every variable), once the target, the lag, the
+    order and the size of the lattice are checked."""
+    n = symbols.n_variables
+    if not 0 <= target < n:
+        raise ValueError(f"invalid target index {target}")
+    if lag < 1:
+        raise ValueError("lag must be >= 1")
+    order = n if max_order is None else max_order
+    if not 1 <= order <= n:
+        raise ValueError("max_order out of range")
+    _check_lattice_size(n, order)
+    return order
 
 
-def _subset_entropies(joint: JointPMF, variables, order: int, present=None):
-    """The entropy table behind the fluxes to dim 0 of `joint` from the
-    subsets of `variables` with at most `order` members. For each such
-    subset A (keyed by bitmask), C is every present variable outside A;
-    returns {A: H(target, C)}, {A: H(C)} and H(target).
+def _flux_lattice(joint: JointPMF, variables, order: int, target: int = 0, lag: int = 1,
+                  present=None):
+    """FluxReport of the fluxes to dim 0 of `joint` from every subset of
+    `variables` with 1..order members, labelled `target` and `lag`, and the
+    {A: H(C)} table it used.
 
-    Both tables come from walks over the joint's tally, on integer counts
-    when the joint keeps them. The {A: H(C)} half is then the same, bit for
-    bit, for every target of one SymbolSeries (the same rows, counted
-    exactly), so a caller holding it passes it as `present`."""
-    tally = cells, weights = joint.codes, (joint.probs if joint.counts is None else joint.counts)
+    For each subset A of `variables` with at most `order` members (keyed by
+    bitmask; present variable v lives at dim v + 1), C is every present
+    variable outside A, and h[A] = H(target | C) = H(target, C) - H(C). Both
+    entropy tables come from walks over the joint's tally, on integer
+    counts when the joint keeps them. The {A: H(C)} table is then the same,
+    bit for bit, for every target of one SymbolSeries (the same rows,
+    counted exactly), so a caller holding it passes it as `present`. The
+    subsets are closed under removal, so an in-place Moebius transform over
+    them turns h[S] into the flux of S and leaves h[empty] = H(target | all
+    present variables), the leak.
+    """
+    cells, weights = joint.codes, (joint.probs if joint.counts is None else joint.counts)
     removable = [v + 1 for v in variables]
     target_stride = math.prod(joint.dims[1:])  # cells % stride zeroes the target digit
+
+    def entropies(cells, weights, dims):
+        # the entropy of each marginal, keyed by the summed-out present variables
+        return {removed >> 1: _weights_entropy(w)
+                for removed, _, w in _marginal_walk(cells, weights, dims, removable, order)}
+
     if present is None:
         # the present variables' tally; its target digit is always 0, so the
         # walk takes that alphabet as 1 and sizes marginals by present cells
-        present = _entropy_table(_count_codes(cells % target_stride, weights),
-                                 (1,) + joint.dims[1:], removable, order)
-    with_target = _entropy_table(tally, joint.dims, removable, order)
-    target_entropy = _weights_entropy(_count_codes(cells // target_stride, weights)[1])
-    return with_target, present, target_entropy
-
-
-def _flux_lattice(joint: JointPMF, variables, order: int, present=None):
-    """Fluxes to dim 0 of `joint` from every subset of `variables` with
-    1..order members, the leak, H(target) and the {A: H(C)} table used
-    (see `_subset_entropies`).
-
-    h[A] = H(target | C) is H(target, C) - H(C). The subsets are closed
-    under removal, so an in-place Moebius transform over them turns h[S]
-    into the flux of S and leaves h[empty] = H(target | all present
-    variables), the leak.
-    """
-    _check_lattice_size(len(variables), order)
-    with_target, present, target_entropy = _subset_entropies(joint, variables, order, present)
-    h = {m: with_target[m] - present[m] for m in with_target}
+        present = entropies(*_count_codes(cells % target_stride, weights),
+                            (1,) + joint.dims[1:])
+    h = entropies(cells, weights, joint.dims)
+    for m in h:
+        h[m] -= present[m]
     leak = h[0]
     for v in variables:
         bit = 1 << v
         for m in h:
             if m & bit:
                 h[m] -= h[m ^ bit]
-    subsets = [s for k in range(1, order + 1) for s in combinations(variables, k)]
-    return {s: h[sum(1 << v for v in s)] for s in subsets}, leak, target_entropy, present
+    fluxes = {s: h[sum(1 << v for v in s)]
+              for k in range(1, order + 1) for s in combinations(variables, k)}
+    target_entropy = _weights_entropy(_count_codes(cells // target_stride, weights)[1])
+    return FluxReport(target, lag, fluxes, leak, target_entropy), present
 
 
-def _report(joint: JointPMF, target: int, lag: int, order: int, present=None):
-    """FluxReport over every subset of the present variables up to `order`,
-    and the {A: H(C)} table it used."""
-    fluxes, leak, target_entropy, present = _flux_lattice(joint, range(joint.ndim - 1), order,
-                                                          present)
-    return FluxReport(target=target, lag=lag, fluxes=fluxes, leak=leak,
-                      target_entropy=target_entropy), present
+def _joint(symbols: SymbolSeries, target: int, lag: int) -> JointPMF:
+    selection = [(target, lag)] + [(v, 0) for v in range(symbols.n_variables)]
+    return estimate_joint_pmf(symbols, selection)
 
 
-def _joint(query: FluxQuery) -> JointPMF:
-    selection = [(query.target, query.lag)] + [(v, 0) for v in range(query.symbols.n_variables)]
-    return estimate_joint_pmf(query.symbols, selection)
-
-
-def information_flux(query: FluxQuery, subset) -> float:
-    """Information flux T (bits) from the past of `subset` to the target's
-    future: the information exclusively contributed by the joint effect of
-    all subset variables. May be negative for odd subset sizes >= 3."""
+def information_flux(symbols: SymbolSeries, target: int, subset, lag: int = 1) -> float:
+    """Information flux T (bits) from the past of `subset` to the future of
+    variable `target`, `lag` samples on: the information exclusively
+    contributed by the joint effect of all subset variables. May be
+    negative for odd subset sizes >= 3."""
+    _checked_order(symbols, lag, 1, target)  # the target and the lag
     subset = tuple(sorted(subset))
     if not subset:
         raise ValueError("subset must be non-empty")
     if len(set(subset)) != len(subset):
         raise ValueError("subset indices must be distinct")
     for v in subset:
-        if not 0 <= v < query.symbols.n_variables:
+        if not 0 <= v < symbols.n_variables:
             raise ValueError(f"invalid variable index {v}")
-    return _flux_lattice(_joint(query), subset, len(subset))[0][subset]
+    _check_lattice_size(len(subset), len(subset))
+    return _flux_lattice(_joint(symbols, target, lag), subset, len(subset))[0].fluxes[subset]
 
 
-def information_leak(query: FluxQuery) -> float:
-    """H(target future | all present variables): information in the target's
-    future unexplained by every observed variable."""
-    return _flux_lattice(_joint(query), (), 0)[1]
-
-
-def flux_report(query: FluxQuery) -> FluxReport:
-    """Fluxes from every subset up to max_order, leak, and normalizations.
+def flux_report(symbols: SymbolSeries, target: int, lag: int = 1,
+                max_order: int | None = None) -> FluxReport:
+    """Fluxes to variable `target`, `lag` samples on, from every subset of
+    up to max_order variables (None: all), leak, and normalizations.
 
     With max_order == n_variables the report satisfies
     sum(fluxes) + leak == target entropy to machine precision.
     """
     # refuse an oversized lattice before estimating the joint
-    _check_lattice_size(query.symbols.n_variables, query.max_order)
-    return _report(_joint(query), query.target, query.lag, query.max_order)[0]
+    order = _checked_order(symbols, lag, max_order, target)
+    return _flux_lattice(_joint(symbols, target, lag), range(symbols.n_variables), order,
+                         target, lag)[0]
 
 
 def flux_reports(symbols: SymbolSeries, lag: int = 1, max_order: int | None = None) -> list[FluxReport]:
@@ -194,16 +170,15 @@ def flux_reports(symbols: SymbolSeries, lag: int = 1, max_order: int | None = No
     shared by every target. The occupancy warning of the joint estimates is
     given once, for the joint with the most occupied cells (they all count
     the same rows)."""
-    queries = [FluxQuery(symbols, target=j, lag=lag, max_order=max_order)
-               for j in range(symbols.n_variables)]
-    _check_lattice_size(symbols.n_variables, queries[0].max_order)
+    order = _checked_order(symbols, lag, max_order)
     reports, present, occupied = [], None, 0
-    for query in queries:
+    for target in range(symbols.n_variables):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OccupancyWarning)
-            joint = _joint(query)
+            joint = _joint(symbols, target, lag)
         occupied = max(occupied, joint.support_count)
-        report, present = _report(joint, query.target, query.lag, query.max_order, present)
+        report, present = _flux_lattice(joint, range(symbols.n_variables), order, target, lag,
+                                        present)
         reports.append(report)
     _warn_if_sparse(occupied, symbols.n_samples - lag, stacklevel=2)
     return reports
@@ -214,7 +189,9 @@ def flux_report_from_pmf(joint: JointPMF, target: int = 0, lag: int = 1, max_ord
     the target's future and dimensions 1..N are the present variables.
     `target` and `lag` only label the report."""
     n = joint.ndim - 1
-    return _report(joint, target, lag, n if max_order is None else max_order)[0]
+    order = n if max_order is None else max_order
+    _check_lattice_size(n, order)
+    return _flux_lattice(joint, range(n), order, target, lag)[0]
 
 
 @dataclass
@@ -270,6 +247,8 @@ def correlation_map(signal: SignalMatrix, lag: int = 1) -> np.ndarray:
     the flux map is contrasted against."""
     if lag < 0:
         raise ValueError("lag must be >= 0")
+    if lag >= signal.n_samples:
+        raise ValueError(f"lag {lag} must be < n_samples = {signal.n_samples}")
     x = signal.values
     norms = np.sqrt((x**2).sum(axis=0))
     if np.any(norms == 0):

@@ -43,27 +43,13 @@ FLAGS = {
     "control": {"seed": "options.seed", "bins": "options.bins"},
     "fixtures": {"seed": "seed"},
 }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, bool):  # before int, of which bool is a subclass
-        return obj
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+FLAG_NAMES = ("seed", "bins", "lag", "order")
 
 
 def _write_report(out_dir: Path, payload: dict):
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
-    (out_dir / "report.json").write_text(text)
+    text = json.dumps(payload, sort_keys=True, indent=2,
+                      default=lambda x: x.tolist() if isinstance(x, np.ndarray) else x.item())
+    (out_dir / "report.json").write_text(text + "\n")
 
 
 # Each command takes the config as given (see _given), the same config
@@ -87,6 +73,8 @@ def cmd_simulate(given: dict, cfg: dict, out_dir: Path) -> int:
 
 
 def _load_signal(given: dict, cfg: dict):
+    if cfg["input"] is not None and cfg["system"] is not None:
+        raise ConfigError("causality reads either 'input' or 'system', not both")
     if cfg["input"] is not None:
         from .signals import read_csv
 
@@ -270,15 +258,23 @@ COMMANDS = {
 
 def _given(command: str, config: dict, args) -> dict:
     """The config as given, flags laid over it. A section left out is {} where
-    the table defaults it to {}, as reports embed it; a flag into a section
-    still left out (causality's system when it reads an input) is dropped."""
+    the table defaults it to {}, as reports embed it. A flag that the command
+    does not read, or that sets a key of a section still left out
+    (causality's system when it reads an input), is refused."""
     given = {k: {} for k, (_, default, _) in params.SECTIONS[command].items() if default == {}}
     given.update((k, dict(v) if isinstance(v, dict) else v) for k, v in config.items())
-    for flag, path in FLAGS[command].items():
-        *section, key = path.split(".")
+    for flag in FLAG_NAMES:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if flag not in FLAGS[command]:
+            raise ConfigError(f"--{flag} is not read by {command}")
+        *section, key = FLAGS[command][flag].split(".")
         target = given.get(section[0]) if section else given
-        if getattr(args, flag) is not None and isinstance(target, dict):
-            target[key] = getattr(args, flag)
+        if target is None:
+            raise ConfigError(f"--{flag} is not read by {command} without '{section[0]}'")
+        if isinstance(target, dict):  # else the section is refused as given
+            target[key] = value
     return given
 
 
@@ -287,7 +283,7 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default="run", help="output directory")
-    for flag in ("seed", "bins", "lag", "order"):  # laid over the config, see FLAGS
+    for flag in FLAG_NAMES:  # laid over the config, see FLAGS
         parser.add_argument(f"--{flag}", type=int, default=None)
     args = parser.parse_args(argv)
 

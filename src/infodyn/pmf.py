@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["JointPMF", "marginalize", "condition"]
+__all__ = ["JointPMF", "marginalize"]
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -139,15 +139,6 @@ class JointPMF:
         out[self.codes] = self.probs
         return out.reshape(self.dims)
 
-    def prob(self, symbol) -> float:
-        """Mass at one symbol tuple (0 if off-support)."""
-        symbol = np.asarray(symbol, dtype=np.int64).reshape(self.ndim)
-        if np.any(symbol < 0) or np.any(symbol >= self.dims):
-            return 0.0
-        code = np.ravel_multi_index(tuple(symbol), self.dims)
-        i = min(np.searchsorted(self.codes, code), self.support_count - 1)
-        return float(self.probs[i]) if self.codes[i] == code else 0.0
-
 
 def _digits(codes, dims, keep) -> list[np.ndarray]:
     """The symbols of dimensions `keep` in the cells `codes` over `dims`."""
@@ -261,28 +252,3 @@ def _marginal_walk(cells, weights, dims, removable, depth):
     dims = tuple(dims)
     root = tally if math.prod(dims) <= dense_cells else sparse  # a sparse root is a tally already
     yield from root(cells, weights, dims, 0, len(dims), depth)
-
-
-def condition(pmf: JointPMF, given) -> JointPMF:
-    """Restrict to the event {dim_k = symbol_k for (k, symbol_k) in given},
-    renormalize, and drop the conditioned dimensions."""
-    given = list(given)
-    if not given:
-        raise ValueError("given must be non-empty")
-    cond_dims = [d for d, _ in given]
-    if len(set(cond_dims)) != len(cond_dims):
-        raise ValueError("duplicate conditioning dimension")
-    mask = np.ones(pmf.support_count, dtype=bool)
-    for d, s in given:
-        if not 0 <= d < pmf.ndim:
-            raise ValueError(f"invalid dimension index {d}")
-        mask &= _digits(pmf.codes, pmf.dims, [d])[0] == s
-    total = pmf.probs[mask].sum()
-    if total <= 0:
-        raise ValueError("impossible condition: event has zero probability")
-    rest = [d for d in range(pmf.ndim) if d not in cond_dims]
-    if not rest:
-        raise ValueError("cannot condition on every dimension")
-    dims = tuple(pmf.dims[d] for d in rest)
-    codes = _cell_codes(_digits(pmf.codes[mask], pmf.dims, rest), dims)
-    return JointPMF._from_codes(dims, codes, pmf.probs[mask] / total)

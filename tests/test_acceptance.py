@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from infodyn import infocore
-from infodyn.causality import FluxQuery, causality_map, correlation_map, flux_report, flux_report_from_pmf, information_flux
+from infodyn.causality import causality_map, correlation_map, flux_report, flux_report_from_pmf, information_flux
 from infodyn.cli import main as cli_main
 from infodyn.control import (
     ControllerParams,
@@ -60,7 +60,7 @@ def test_01_decomposition_identity():
     ]
     for sym in sampled:
         for j in range(sym.n_variables):
-            rep = flux_report(FluxQuery(sym, target=j))
+            rep = flux_report(sym, target=j)
             residual = abs(sum(rep.fluxes.values()) + rep.leak - rep.target_entropy)
             assert residual < 1e-10
 
@@ -69,8 +69,8 @@ def test_02_zero_flux_for_decoupled_variables():
     # sampled: two logistic maps with the coupling switched off
     spec = SystemSpec("coupled-logistic", {"coupling": 0.0}, n_steps=1_001_000, transient_steps=1000, seed=0)
     sym = discretize(simulate(spec), PartitionSpec(bins_per_variable=8))
-    assert abs(information_flux(FluxQuery(sym, target=1), [0])) < 0.01
-    assert abs(information_flux(FluxQuery(sym, target=0), [1])) < 0.01
+    assert abs(information_flux(sym, 1, [0])) < 0.01
+    assert abs(information_flux(sym, 0, [1])) < 0.01
 
     # exact: fixtures whose variables evolve independently
     for name, cross in (("markov_pair", (0,)), ("rotation_pair", (0,)), ("noise_target", (0,))):

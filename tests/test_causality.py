@@ -11,15 +11,13 @@ from hypothesis import strategies as st
 from infodyn import infocore
 from infodyn.causality import (
     CausalityMap,
-    FluxQuery,
-    _subset_entropies,
+    _flux_lattice,
     causality_map,
     correlation_map,
     flux_report,
     flux_report_from_pmf,
     flux_reports,
     information_flux,
-    information_leak,
 )
 from infodyn.discretization import OccupancyWarning, SymbolSeries, estimate_joint_pmf
 from infodyn.pmf import JointPMF, _cell_codes, _count_codes, _marginal_walk
@@ -92,23 +90,30 @@ def estimated_joint(symbols, target=0, lag=1):
 def test_query_validation():
     sym = SymbolSeries(np.zeros((10, 2), dtype=int), (2, 2))
     with pytest.raises(ValueError, match="invalid target"):
-        FluxQuery(sym, target=5)
+        flux_report(sym, target=5)
+    with pytest.raises(ValueError, match="invalid target"):
+        information_flux(sym, 5, [0])
     with pytest.raises(ValueError, match="lag"):
-        FluxQuery(sym, target=0, lag=0)
+        flux_report(sym, target=0, lag=0)
+    with pytest.raises(ValueError, match="lag"):
+        information_flux(sym, 0, [0], lag=0)
+    with pytest.raises(ValueError, match="lag"):
+        flux_reports(sym, lag=0)
     with pytest.raises(ValueError, match="max_order"):
-        FluxQuery(sym, target=0, max_order=3)
+        flux_report(sym, target=0, max_order=3)
+    with pytest.raises(ValueError, match="max_order"):
+        flux_reports(sym, max_order=0)
 
 
 def test_subset_validation():
     fx = SUITE["markov_pair"]
     sym = fx.sample(500, seed=0)
-    query = FluxQuery(sym, target=1)
     with pytest.raises(ValueError, match="non-empty"):
-        information_flux(query, [])
+        information_flux(sym, 1, [])
     with pytest.raises(ValueError, match="distinct"):
-        information_flux(query, [0, 0])
+        information_flux(sym, 1, [0, 0])
     with pytest.raises(ValueError, match="invalid variable"):
-        information_flux(query, [7])
+        information_flux(sym, 1, [7])
 
 
 def test_singleton_flux_is_transfer_entropy_exact():
@@ -160,7 +165,7 @@ def test_decomposition_identity_exact_joints():
 
 def test_decomposition_identity_sampled():
     fx = SUITE["xor"]
-    rep = flux_report(FluxQuery(fx.sample(5000, seed=1), target=2))
+    rep = flux_report(fx.sample(5000, seed=1), target=2)
     residual = abs(sum(rep.fluxes.values()) + rep.leak - rep.target_entropy)
     assert residual < 1e-10
 
@@ -174,7 +179,7 @@ def test_normalized_report():
 def test_normalized_report_of_a_target_with_zero_entropy():
     # a constant target has nothing to apportion: every share is 0.0
     codes = np.column_stack([np.arange(40) % 4, np.zeros(40, dtype=int)])
-    rep = flux_report(FluxQuery(SymbolSeries(codes, (4, 2)), target=1))
+    rep = flux_report(SymbolSeries(codes, (4, 2)), target=1)
     assert rep.target_entropy == 0.0
     assert rep.normalized == {(0,): 0.0, (1,): 0.0, (0, 1): 0.0}
     assert rep.normalized_leak == 0.0
@@ -182,7 +187,7 @@ def test_normalized_report_of_a_target_with_zero_entropy():
 
 def test_flux_max_order_truncation():
     fx = SUITE["xor"]
-    rep = flux_report(FluxQuery(fx.sample(2000, seed=2), target=2, max_order=1))
+    rep = flux_report(fx.sample(2000, seed=2), target=2, max_order=1)
     assert all(len(s) == 1 for s in rep.fluxes)
 
 
@@ -224,11 +229,23 @@ def test_correlation_map_rejects_zero_column():
         correlation_map(sig)
 
 
+@pytest.mark.parametrize("lag", [9, 10, 12, 25])
+def test_correlation_map_refuses_a_lag_past_the_series(lag):
+    # on 10 samples lags 10 and 25 gave an all-zero matrix and lag 12 a matmul error
+    sig = SignalMatrix(np.random.default_rng(9).standard_normal((10, 2)), ("a", "b"))
+    if lag < sig.n_samples:
+        assert correlation_map(sig, lag).shape == (2, 2)
+    else:
+        with pytest.raises(ValueError, match=f"lag {lag} must be < n_samples = 10"):
+            correlation_map(sig, lag)
+
+
 def test_information_leak_matches_report():
-    fx = SUITE["noise_target"]
-    sym = fx.sample(3000, seed=7)
-    query = FluxQuery(sym, target=1)
-    assert information_leak(query) == pytest.approx(flux_report(query).leak, abs=1e-12)
+    # the leak is H(target future | every present variable)
+    sym = SUITE["noise_target"].sample(3000, seed=7)
+    joint, _ = estimated_joint(sym, target=1)
+    leak = infocore.conditional_entropy(joint, [0], range(1, sym.n_variables + 1))
+    assert abs(flux_report(sym, target=1).leak - leak) <= 1e-12
 
 
 def test_lattice_matches_oracle_on_fixtures():
@@ -287,17 +304,16 @@ def test_truncated_report_matches_full_report():
 
 def test_information_flux_matches_report():
     sym = SUITE["xor"].sample(3000, seed=4)
-    query = FluxQuery(sym, target=2)
-    rep = flux_report(query)
+    rep = flux_report(sym, target=2)
     for subset, value in rep.fluxes.items():
-        assert information_flux(query, reversed(subset)) == pytest.approx(value, abs=1e-12)
+        assert information_flux(sym, 2, reversed(subset)) == pytest.approx(value, abs=1e-12)
 
 
 def test_causality_map_rows_match_reports():
     sym = SUITE["xor"].sample(3000, seed=5)
     cmap = causality_map(sym, lag=1, order=2)
     for j in range(sym.n_variables):
-        rep = flux_report(FluxQuery(sym, target=j, lag=1))
+        rep = flux_report(sym, target=j, lag=1)
         for s, subset in enumerate(cmap.subsets):
             assert cmap.values[s, j] == pytest.approx(rep.fluxes[subset], abs=1e-12)
 
@@ -311,9 +327,12 @@ def test_lattice_cap_refuses_at_once():
     assert time.perf_counter() - start < 1.0
     symbols = SymbolSeries(np.zeros((10, 21), dtype=int), (2,) * 21)
     with pytest.raises(ValueError, match="exceeds cap"):
-        flux_report(FluxQuery(symbols, target=0))
+        flux_report(symbols, target=0)
     with pytest.raises(ValueError, match="exceeds cap"):
         flux_reports(symbols)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        information_flux(symbols, 0, range(21))
+    assert information_flux(symbols, 0, [3]) == 0.0  # a small lattice of a wide series runs
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +461,11 @@ def test_present_half_is_the_same_for_every_target(symbols, lag, data):
     n = symbols.n_variables
     order = data.draw(st.integers(1, n))
     joints = [estimated_joint(symbols, j, lag)[0] for j in range(n)]
-    halves = [_subset_entropies(joint, range(n), order)[1] for joint in joints]
+    halves = [_flux_lattice(joint, range(n), order)[1] for joint in joints]
     assert all(half == halves[0] for half in halves)  # bitwise: float ==
     shared = flux_reports(symbols, lag, order)
     for j, rep in enumerate(shared):
-        own = flux_report(FluxQuery(symbols, target=j, lag=lag, max_order=order))
+        own = flux_report(symbols, target=j, lag=lag, max_order=order)
         assert (rep.target, rep.lag) == (own.target, own.lag)
         assert rep.fluxes == own.fluxes
         assert (rep.leak, rep.target_entropy) == (own.leak, own.target_entropy)

@@ -180,33 +180,94 @@ CAUSALITY_SYSTEMS = {
 
 
 @st.composite
-def causality_configs(draw):
+def system_configs(draw):
     kind = draw(st.sampled_from(sorted(CAUSALITY_SYSTEMS)))
-    n_steps = draw(st.integers(12, 400))
-    transient = draw(st.integers(0, 10))
-    return {"system": {"kind": kind, "n_steps": n_steps, "transient_steps": transient,
-                       "seed": draw(st.integers(0, 3)),
-                       "parameters": draw(CAUSALITY_SYSTEMS[kind])},
-            "lag": draw(st.integers(1, n_steps)), "order": draw(st.integers(1, 3)),
+    return {"kind": kind, "n_steps": draw(st.integers(12, 400)),
+            "transient_steps": draw(st.integers(0, 10)), "seed": draw(st.integers(0, 3)),
+            "parameters": draw(CAUSALITY_SYSTEMS[kind])}
+
+
+@st.composite
+def causality_configs(draw):
+    system = draw(system_configs())
+    return {"system": system,
+            "lag": draw(st.integers(1, system["n_steps"])), "order": draw(st.integers(1, 3)),
             "bins": draw(st.integers(2, 12)),
             "scheme": draw(st.sampled_from(params.SECTIONS["causality"]["scheme"][2]))}
 
 
-@settings(max_examples=100, deadline=None)
-@given(causality_configs())
-def test_causality_on_any_small_system_exits_with_a_documented_code(config):
-    # 0 (run), 1 (identity check failed) or 2 (refused), in one line at most
+def run_quietly(command, config, flags=()):
+    """Exit code and stderr of one CLI run in a scratch directory."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("ignore", discretization.OccupancyWarning)
         cfg = Path(d) / "cfg.json"
         cfg.write_text(json.dumps(config))
-        code = main(["causality", "--config", str(cfg), "--out", str(Path(d) / "out")])
-    lines = err.getvalue().splitlines()
-    assert code in (0, 1, 2), (config, lines)
-    assert len([line for line in lines if line.startswith("error:")]) <= 1, lines
-    assert "Traceback" not in err.getvalue()
+        code = main([command, "--config", str(cfg), "--out", str(Path(d) / "out"), *flags])
+    err = err.getvalue()
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) <= 1, err
+    assert "Traceback" not in err
+    return code, err
+
+
+@settings(max_examples=100, deadline=None)
+@given(causality_configs())
+def test_causality_on_any_small_system_exits_with_a_documented_code(config):
+    # 0 (run), 1 (identity check failed) or 2 (refused), in one line at most
+    code, err = run_quietly("causality", config)
+    assert code in (0, 1, 2), (config, err)
+
+
+# each key of the command's section in params.SECTIONS, given or left out
+# (simulate's one key, system, is required)
+COMMAND_CONFIGS = {
+    "simulate": st.fixed_dictionaries({"system": system_configs()}),
+    "fixtures": st.fixed_dictionaries({}, optional={
+        "name": st.sampled_from(params.SECTIONS["fixtures"]["name"][2]),
+        "n_samples": st.integers(2, 2000), "seed": st.integers(0, 3)}),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(COMMAND_CONFIGS)), st.data())
+def test_simulate_and_fixtures_with_any_flags_exit_with_a_documented_code(command, data):
+    # 0 (run), 2 (refused) or, for simulate, 4 (blow-up), in one line at most;
+    # a flag the command does not read exits 2 naming it
+    config = data.draw(COMMAND_CONFIGS[command])
+    flags = data.draw(st.dictionaries(st.sampled_from(cli.FLAG_NAMES), st.integers(-1, 5)))
+    args = [arg for flag, value in flags.items() for arg in (f"--{flag}", str(value))]
+    code, err = run_quietly(command, config, args)
+    assert code in {"simulate": (0, 2, 4), "fixtures": (0, 2)}[command], (config, flags, err)
+    foreign = [flag for flag in cli.FLAG_NAMES if flag in flags and flag not in cli.FLAGS[command]]
+    if foreign:
+        assert (code, err) == (2, f"error: --{foreign[0]} is not read by {command}\n")
+
+
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys):
+    # simulate exited 0 ignoring all three flags
+    code, _ = run(tmp_path, "simulate", VALID["simulate"],
+                  extra=["--lag", "3", "--order", "9", "--bins", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --bins is not read by simulate\n"
+    # a causality job that reads an input dropped --seed, which sets system.seed
+    write_csv(SignalMatrix(np.random.default_rng(0).standard_normal((50, 2)), ("x", "y")),
+              tmp_path / "signal.csv")
+    code, _ = run(tmp_path, "causality", {"input": str(tmp_path / "signal.csv")},
+                  extra=["--seed", "4"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --seed is not read by causality without 'system'\n"
+
+
+def test_causality_refuses_both_input_and_system(tmp_path, capsys):
+    # the system was ignored, and the report's source read the CSV path
+    write_csv(SignalMatrix(np.random.default_rng(0).standard_normal((50, 2)), ("x", "y")),
+              tmp_path / "signal.csv")
+    code, out = run(tmp_path, "causality", {"input": str(tmp_path / "signal.csv"),
+                                            "system": {"kind": "coupled-logistic"}})
+    assert code == 2
+    assert capsys.readouterr().err == "error: causality reads either 'input' or 'system', not both\n"
+    assert not (out / "report.json").exists()
 
 
 def test_fit_converges_and_reports(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from infodyn import infocore
 from infodyn.discretization import SymbolSeries, estimate_joint_pmf
-from infodyn.pmf import JointPMF, _cell_codes, _count_codes, condition, marginalize
+from infodyn.pmf import JointPMF, _cell_codes, _count_codes, marginalize
 from infodyn.signals import SignalMatrix
 
 
@@ -51,8 +51,8 @@ def test_equality_compares_values_and_never_raises():
 def test_zero_mass_cells_dropped():
     pmf = JointPMF.from_mapping({(0,): 0.0, (1,): 1.0}, (2,))
     assert pmf.support_count == 1
-    assert pmf.prob((0,)) == 0.0
-    assert pmf.prob((1,)) == 1.0
+    assert pmf.mass.get((0,), 0.0) == 0.0
+    assert pmf.mass.get((1,), 0.0) == 1.0
 
 
 def test_mass_must_sum_to_one():
@@ -74,7 +74,7 @@ def test_index_rows_outside_dims_rejected(mapping, dim):
 
 def test_from_counts_normalizes():
     pmf = JointPMF.from_counts(np.array([[0], [1]]), [3, 1], (2,))
-    assert pmf.prob((0,)) == pytest.approx(0.75)
+    assert pmf.mass.get((0,), 0.0) == pytest.approx(0.75)
     assert pmf.counts.tolist() == [3, 1] and pmf.counts.dtype == np.int64
 
 
@@ -122,25 +122,6 @@ def test_marginalize_rejects_bad_dims():
         marginalize(pmf, [0, 0])
     with pytest.raises(ValueError):
         marginalize(pmf, [5])
-
-
-def test_condition_renormalizes():
-    dense = np.array([[0.1, 0.2], [0.3, 0.4]])
-    pmf = JointPMF.from_dense(dense)
-    cond = condition(pmf, [(0, 1)])
-    assert np.allclose(cond.to_dense(), dense[1] / dense[1].sum())
-
-
-def test_condition_zero_probability_event():
-    pmf = JointPMF.from_mapping({(0, 0): 1.0}, (2, 2))
-    with pytest.raises(ValueError, match="impossible condition"):
-        condition(pmf, [(0, 1)])
-
-
-def test_condition_cannot_drop_all_dims():
-    pmf = JointPMF.from_mapping({(0,): 1.0}, (2,))
-    with pytest.raises(ValueError):
-        condition(pmf, [(0, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +241,8 @@ def row_scan_prob(pmf, symbol):
 @st.composite
 def built_joints(draw):
     """A JointPMF as each path makes one: the constructor given unsorted rows
-    with repeats, an estimate, a marginal or a conditional."""
-    how = draw(st.sampled_from(["constructed", "estimated", "marginalized", "conditioned"]))
+    with repeats, an estimate or a marginal."""
+    how = draw(st.sampled_from(["constructed", "estimated", "marginalized"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dims = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
     if how == "constructed":
@@ -276,11 +257,7 @@ def built_joints(draw):
         return estimate_joint_pmf(symbols, selection[:draw(st.integers(1, 3))])
     pmf = draw(sparse_joints())
     order = draw(st.permutations(range(pmf.ndim)))
-    if how == "marginalized":
-        return marginalize(pmf, order[:draw(st.integers(1, pmf.ndim))])
-    assume(pmf.ndim > 1)
-    row = pmf.indices[rng.integers(pmf.support_count)]  # a possible event
-    return condition(pmf, [(d, row[d]) for d in order[:draw(st.integers(1, pmf.ndim - 1))]])
+    return marginalize(pmf, order[:draw(st.integers(1, pmf.ndim))])
 
 
 @settings(max_examples=120, deadline=None)
@@ -290,8 +267,9 @@ def test_support_is_stored_as_increasing_cell_codes(pmf, seed):
     assert np.array_equal(pmf.codes, _cell_codes(pmf.indices.T, pmf.dims))
     # every support row, then symbols in and out of the support and alphabets
     off = np.random.default_rng(seed).integers(-1, np.asarray(pmf.dims) + 1, size=(20, pmf.ndim))
+    mass = pmf.mass
     for symbol in [*pmf.indices, *off]:
-        assert pmf.prob(symbol) == row_scan_prob(pmf, symbol)
+        assert mass.get(tuple(symbol), 0.0) == row_scan_prob(pmf, symbol)
 
 
 def test_estimate_refuses_joints_wider_than_int64_codes():

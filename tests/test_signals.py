@@ -156,8 +156,8 @@ def test_explicit_edges_pmf_clips_and_normalizes():
     spec = PartitionSpec("explicit-edges", edges=(np.array([0.0, 1.0, 2.0]),))
     sig = SignalMatrix(np.array([-3.0, 0.5, 1.5, 8.0]), ("x",))
     pmf = estimate_joint_pmf(discretize(sig, spec), [(0, 0)])
-    assert pmf.prob((0,)) == pytest.approx(0.5)
-    assert pmf.prob((1,)) == pytest.approx(0.5)
+    assert pmf.mass.get((0,), 0.0) == pytest.approx(0.5)
+    assert pmf.mass.get((1,), 0.0) == pytest.approx(0.5)
 
 
 def test_partition_spec_validation():
@@ -181,8 +181,8 @@ def test_estimate_joint_pmf_lagged_pairs():
     codes = np.array([0, 1] * 50)[:, None]
     sym = SymbolSeries(codes, (2,))
     pmf = estimate_joint_pmf(sym, [(0, 1), (0, 0)])
-    assert pmf.prob((1, 0)) == pytest.approx(0.5, abs=0.02)
-    assert pmf.prob((0, 0)) == 0.0
+    assert pmf.mass.get((1, 0), 0.0) == pytest.approx(0.5, abs=0.02)
+    assert pmf.mass.get((0, 0), 0.0) == 0.0
 
 
 def test_estimate_joint_pmf_lag_bounds():

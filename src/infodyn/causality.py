@@ -59,24 +59,19 @@ class FluxReport:
         return bits / self.target_entropy if self.target_entropy else 0.0
 
 
-def _check_lattice_size(n_variables: int, order: int):
-    n_sets = sum(math.comb(n_variables, k) for k in range(order + 1))
-    if n_sets > SUBSET_CAP:
-        raise ValueError(f"flux lattice ({n_sets} conditioning sets) exceeds cap {SUBSET_CAP}")
-
-
-def _checked_order(symbols: SymbolSeries, lag: int, max_order: int | None, target: int = 0) -> int:
+def _checked_order(n_variables: int, max_order: int | None, target: int = 0, lag: int = 1) -> int:
     """`max_order` (None: every variable), once the target, the lag, the
-    order and the size of the lattice are checked."""
-    n = symbols.n_variables
-    if not 0 <= target < n:
+    order and the size of the lattice over `n_variables` are checked."""
+    if not 0 <= target < n_variables:
         raise ValueError(f"invalid target index {target}")
     if lag < 1:
         raise ValueError("lag must be >= 1")
-    order = n if max_order is None else max_order
-    if not 1 <= order <= n:
+    order = n_variables if max_order is None else max_order
+    if not 1 <= order <= n_variables:
         raise ValueError("max_order out of range")
-    _check_lattice_size(n, order)
+    n_sets = sum(math.comb(n_variables, k) for k in range(order + 1))
+    if n_sets > SUBSET_CAP:
+        raise ValueError(f"flux lattice ({n_sets} conditioning sets) exceeds cap {SUBSET_CAP}")
     return order
 
 
@@ -136,7 +131,7 @@ def information_flux(symbols: SymbolSeries, target: int, subset, lag: int = 1) -
     variable `target`, `lag` samples on: the information exclusively
     contributed by the joint effect of all subset variables. May be
     negative for odd subset sizes >= 3."""
-    _checked_order(symbols, lag, 1, target)  # the target and the lag
+    _checked_order(symbols.n_variables, 1, target, lag)  # the target and the lag
     subset = tuple(sorted(subset))
     if not subset:
         raise ValueError("subset must be non-empty")
@@ -145,7 +140,7 @@ def information_flux(symbols: SymbolSeries, target: int, subset, lag: int = 1) -
     for v in subset:
         if not 0 <= v < symbols.n_variables:
             raise ValueError(f"invalid variable index {v}")
-    _check_lattice_size(len(subset), len(subset))
+    _checked_order(len(subset), None)  # the size of the lattice
     return _flux_lattice(_joint(symbols, target, lag), subset, len(subset))[0].fluxes[subset]
 
 
@@ -158,7 +153,7 @@ def flux_report(symbols: SymbolSeries, target: int, lag: int = 1,
     sum(fluxes) + leak == target entropy to machine precision.
     """
     # refuse an oversized lattice before estimating the joint
-    order = _checked_order(symbols, lag, max_order, target)
+    order = _checked_order(symbols.n_variables, max_order, target, lag)
     return _flux_lattice(_joint(symbols, target, lag), range(symbols.n_variables), order,
                          target, lag)[0]
 
@@ -170,7 +165,7 @@ def flux_reports(symbols: SymbolSeries, lag: int = 1, max_order: int | None = No
     shared by every target. The occupancy warning of the joint estimates is
     given once, for the joint with the most occupied cells (they all count
     the same rows)."""
-    order = _checked_order(symbols, lag, max_order)
+    order = _checked_order(symbols.n_variables, max_order, lag=lag)
     reports, present, occupied = [], None, 0
     for target in range(symbols.n_variables):
         with warnings.catch_warnings():
@@ -188,10 +183,8 @@ def flux_report_from_pmf(joint: JointPMF, target: int = 0, lag: int = 1, max_ord
     """Flux report computed from an exact joint PMF whose dimension 0 is
     the target's future and dimensions 1..N are the present variables.
     `target` and `lag` only label the report."""
-    n = joint.ndim - 1
-    order = n if max_order is None else max_order
-    _check_lattice_size(n, order)
-    return _flux_lattice(joint, range(n), order, target, lag)[0]
+    order = _checked_order(joint.ndim - 1, max_order)
+    return _flux_lattice(joint, range(joint.ndim - 1), order, target, lag)[0]
 
 
 @dataclass

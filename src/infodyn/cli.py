@@ -41,7 +41,7 @@ FLAGS = {
     "causality": {"seed": "system.seed", "bins": "bins", "lag": "lag", "order": "order"},
     "fit": {"seed": "seed", "bins": "bins"},
     "control": {"seed": "options.seed", "bins": "options.bins"},
-    "fixtures": {"seed": "seed"},
+    "fixtures": {},
 }
 FLAG_NAMES = ("seed", "bins", "lag", "order")
 
@@ -224,11 +224,9 @@ def cmd_control(given: dict, cfg: dict, out_dir: Path) -> int:
 
 def cmd_fixtures(given: dict, cfg: dict, out_dir: Path) -> int:
     from . import infocore, systems
-    from .signals import SignalMatrix, write_csv
 
-    suite = systems.symbolic_map_suite()
     catalog = {}
-    for name, fx in sorted(suite.items()):
+    for name, fx in sorted(systems.symbolic_map_suite().items()):
         catalog[name] = {
             "variables": list(fx.names),
             "alphabet": list(fx.alphabet),
@@ -236,14 +234,7 @@ def cmd_fixtures(given: dict, cfg: dict, out_dir: Path) -> int:
             "joint_entropy_bits": infocore.entropy(fx.exact_joint),
             "support_count": fx.exact_joint.support_count,
         }
-    payload = {"command": "fixtures", "config": given, "catalog": catalog}
-    name, n, seed = cfg["name"], cfg["n_samples"], cfg["seed"]
-    if name is not None:
-        fx = suite[name]
-        series = fx.sample(n, seed)
-        write_csv(SignalMatrix(series.codes.astype(float), fx.names), out_dir / "samples.csv")
-        payload["sampled"] = {"name": name, "n_samples": n, "seed": seed}
-    _write_report(out_dir, payload)
+    _write_report(out_dir, {"command": "fixtures", "config": given, "catalog": catalog})
     return EXIT_OK
 
 

@@ -41,7 +41,7 @@ class PartitionSpec:
                 e = np.asarray(e, dtype=float)
                 if e.size < 3:
                     raise ValueError("each edge list needs at least 2 bins")
-                if np.any(np.diff(e) <= 0):
+                if not np.all(np.diff(e) > 0):  # NaN edges fail it too
                     raise ValueError("edges must be strictly increasing")
         else:
             for b in np.atleast_1d(self.bins_per_variable):

@@ -70,8 +70,7 @@ SECTIONS = {
         "relax_decay": (FLOAT, 0.5, "> 0 and <= 1"), "relax_floor": (FLOAT, 1e-3, "> 0 and <= 1"),
         "reference_edges": (FLOAT_LIST, None, None),  # none: from the uncontrolled rollout
         "initial_step": (FLOAT, 0.05, "> 0"), "kl_floor": (FLOAT, 1e-9, "> 0")},
-    "fixtures": {
-        "name": (NAME, None, FIXTURES), "n_samples": (INT, 1000, ">= 2"), "seed": (INT, 0, ">= 0")},
+    "fixtures": {},
     "system": {
         "kind": (NAME, REQUIRED, KINDS), "parameters": (SECTION, {}, KIND),
         "n_steps": (INT, 10000, ">= 1"), "transient_steps": (INT, 1000, ">= 0"),
@@ -112,7 +111,7 @@ def _resolve(section, given, prefix):
     table = SECTIONS[section]
     for key in given:
         if key not in table:
-            raise ValueError(f"{prefix}{key} is not a known key; known: {', '.join(table)}")
+            raise ValueError(f"{prefix}{key} is not a known key; known: {', '.join(table) or 'none'}")
     out = {}
     for key, (kind, default, detail) in table.items():
         value, path = given.get(key), prefix + key
@@ -166,9 +165,12 @@ def _value(kind, value, detail, path):
 
 
 def _in_range(number, detail, path):
-    """`number`, refused unless it meets every condition of the range `detail`."""
+    """`number`, refused unless it meets every condition of the range `detail`,
+    and refused as NaN (which fails any range) where there is no range."""
     for condition in detail.split(" and ") if detail else ():
         op, _, bound = condition.partition(" ")
         if not (math.isfinite(number) if op == "finite" else _OPS[op](number, float(bound))):
             raise ValueError(f"{path} must be {detail}, got {number!r}")
+    if math.isnan(number):
+        raise ValueError(f"{path} must be a number, got {number!r}")
     return number

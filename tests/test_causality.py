@@ -105,6 +105,17 @@ def test_query_validation():
         flux_reports(sym, max_order=0)
 
 
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_report_from_pmf_refuses_an_order_out_of_range(name):
+    # max_order 0 and -1 returned a report with no fluxes, and n + 1 was accepted
+    joint = SUITE[name].exact_joint
+    n = joint.ndim - 1
+    for max_order in (0, -1, n + 1):
+        with pytest.raises(ValueError, match="max_order out of range"):
+            flux_report_from_pmf(joint, max_order=max_order)
+    assert flux_report_from_pmf(joint, max_order=n).fluxes == flux_report_from_pmf(joint).fluxes
+
+
 def test_subset_validation():
     fx = SUITE["markov_pair"]
     sym = fx.sample(500, seed=0)

@@ -219,29 +219,88 @@ def test_causality_on_any_small_system_exits_with_a_documented_code(config):
     assert code in (0, 1, 2), (config, err)
 
 
+# the sizes that keep a run under 0.5 s, always given: the defaults (fit's
+# 200000 samples, control's 4000 steps and 8 x 40 iterations) take longer
+SIZES = {"n_samples": 20_000, "n_steps": 800, "inner_iters": 3, "outer_iters": 2}
+
+
+def numbers(detail, integral, cap=40):
+    """A number within the range `detail` in seven draws of eight, else any:
+    integers from -1 to `cap`, floats within +-3, NaN and the infinities."""
+    low, high, low_open, high_open = -3.0, 3.0, False, False
+    for condition in detail.split(" and ") if detail else ():
+        op, _, bound = condition.partition(" ")
+        if op in (">=", ">"):
+            low, low_open = float(bound), op == ">"
+        elif op in ("<=", "<"):
+            high, high_open = float(bound), op == "<"
+    if integral:
+        usual = st.integers(int(low) + low_open if detail else -1, cap)
+        rare = st.integers(-1, cap)
+    else:
+        usual = st.floats(low, high, exclude_min=low_open, exclude_max=high_open)
+        rare = st.floats(-3.0, 3.0) | st.sampled_from([math.nan, math.inf, -math.inf])
+    return st.tuples(st.integers(0, 7), usual, rare).map(lambda t: t[2] if t[0] == 0 else t[1])
+
+
+def section_configs(section):
+    """Each key of params.SECTIONS[section] drawn by its type, given or left
+    out; a required key and a key of SIZES are always given."""
+    always, optional = {}, {}
+    for key, (kind, default, detail) in params.SECTIONS[section].items():
+        if kind == params.INT:
+            strategy = numbers(detail, True, SIZES.get(key, 40))
+        elif kind == params.FLOAT:
+            strategy = numbers(detail, False)
+        elif kind == params.FLOAT_LIST:
+            strategy = st.lists(numbers(detail, False), min_size=1, max_size=2)
+        elif kind == params.MATRIX:
+            strategy = st.lists(st.lists(numbers(detail, False), min_size=1, max_size=2),
+                                min_size=1, max_size=2)
+        elif kind == params.NAME:
+            strategy = st.sampled_from(detail)
+        else:  # the sections of fit and control
+            strategy = section_configs(detail)
+        (always if default == params.REQUIRED or key in SIZES else optional)[key] = strategy
+    return st.fixed_dictionaries(always, optional=optional)
+
+
 # each key of the command's section in params.SECTIONS, given or left out
-# (simulate's one key, system, is required)
+# (simulate's one key, system, is required; fixtures has none)
 COMMAND_CONFIGS = {
     "simulate": st.fixed_dictionaries({"system": system_configs()}),
-    "fixtures": st.fixed_dictionaries({}, optional={
-        "name": st.sampled_from(params.SECTIONS["fixtures"]["name"][2]),
-        "n_samples": st.integers(2, 2000), "seed": st.integers(0, 3)}),
+    "fixtures": st.just({}),
+    "fit": section_configs("fit"),
+    "control": section_configs("control"),
 }
+# 0 (run), 2 (refused), 3 (a fit that did not converge), 4 (blow-up)
+EXITS = {"simulate": (0, 2, 4), "fixtures": (0, 2), "fit": (0, 2, 3), "control": (0, 2, 4)}
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(sorted(COMMAND_CONFIGS)), st.data())
-def test_simulate_and_fixtures_with_any_flags_exit_with_a_documented_code(command, data):
-    # 0 (run), 2 (refused) or, for simulate, 4 (blow-up), in one line at most;
-    # a flag the command does not read exits 2 naming it
+def run_with_any_flags(command, data):
+    """A drawn config of `command` run with any of the four flags: a
+    documented exit, in one line at most; a flag the command does not read
+    exits 2 naming it."""
     config = data.draw(COMMAND_CONFIGS[command])
     flags = data.draw(st.dictionaries(st.sampled_from(cli.FLAG_NAMES), st.integers(-1, 5)))
     args = [arg for flag, value in flags.items() for arg in (f"--{flag}", str(value))]
     code, err = run_quietly(command, config, args)
-    assert code in {"simulate": (0, 2, 4), "fixtures": (0, 2)}[command], (config, flags, err)
+    assert code in EXITS[command], (config, flags, err)
     foreign = [flag for flag in cli.FLAG_NAMES if flag in flags and flag not in cli.FLAGS[command]]
     if foreign:
         assert (code, err) == (2, f"error: --{foreign[0]} is not read by {command}\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["fixtures", "simulate"]), st.data())
+def test_simulate_and_fixtures_with_any_flags_exit_with_a_documented_code(command, data):
+    run_with_any_flags(command, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["control", "fit"]), st.data())
+def test_fit_and_control_with_any_keys_and_flags_exit_with_a_documented_code(command, data):
+    run_with_any_flags(command, data)
 
 
 def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys):
@@ -347,9 +406,10 @@ FIT = {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8], "n_samples": 1000}
     # read by nothing, now unknown
     ("simulate", {"system": {"kind": "coupled-logistic"}, "output_format": "csv"},
      "output_format is not a known key; known: system"),
-    # each was an exit 2 in NumPy's "expected non-negative integer"
-    pytest.param("fixtures", {"name": "xor", "seed": -1}, "seed must be >= 0, got -1",
+    # fixtures writes only its catalog: simulate with kind symbolic-map samples a fixture
+    pytest.param("fixtures", {"seed": -1}, "seed is not a known key; known: none",
                  id="negative fixtures seed"),
+    # each was an exit 2 in NumPy's "expected non-negative integer"
     pytest.param("simulate", {"system": {"kind": "coupled-logistic", "seed": -1}},
                  "system.seed must be >= 0, got -1", id="negative system seed"),
     # each was an exit 2 in internal wording that named no key
@@ -416,11 +476,29 @@ FIT = {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8], "n_samples": 1000}
                  "linear-plant.sensor_noise_std must be finite and >= 0, got inf",
                  id="linear-plant sensor_noise_std inf"),
     # was "cannot convert float NaN to integer", naming no key
-    pytest.param("control", {"init": {"theta_s": [math.nan]}}, "theta_s must be finite, got [nan]",
-                 id="control theta_s nan"),
+    pytest.param("control", {"init": {"theta_s": [math.nan]}},
+                 "init.theta_s[0] must be a number, got nan", id="control theta_s nan"),
     # was an exit 4 with a blow-up at step 1
-    pytest.param("control", {"init": {"theta_aa": [math.nan]}}, "theta_aa must be finite, got [nan]",
-                 id="control theta_aa nan"),
+    pytest.param("control", {"init": {"theta_aa": [math.nan]}},
+                 "init.theta_aa[0] must be a number, got nan", id="control theta_aa nan"),
+    # NaN in a key with no range: the first exited 0 with a report, the
+    # next three 4 with a blow-up at step 0, the last two 2 with "values
+    # contain NaN or Inf", naming no key
+    pytest.param("control", {"options": {"reference_edges": [-5, math.nan, 0, 5]}},
+                 "options.reference_edges[1] must be a number, got nan",
+                 id="control reference_edges nan"),
+    pytest.param("simulate", {"system": {"kind": "lorenz96", "parameters": {"forcing": math.nan}}},
+                 "lorenz96.forcing must be a number, got nan", id="lorenz96 forcing nan"),
+    pytest.param("simulate", {"system": {"kind": "goy-shell", "parameters": {"nu": math.nan}}},
+                 "goy-shell.nu must be a number, got nan", id="goy-shell nu nan"),
+    pytest.param("simulate", {"system": {"kind": "coupled-logistic",
+                                         "parameters": {"coupling": math.nan}}},
+                 "coupled-logistic.coupling must be a number, got nan",
+                 id="coupled-logistic coupling nan"),
+    pytest.param("fit", {**FIT, "bounds": [[math.nan, 5], [0.1, 3]]},
+                 "bounds[0] must be a number, got nan", id="fit bounds nan"),
+    pytest.param("control", {"target": {"mu": [math.nan]}}, "target.mu[0] must be a number, got nan",
+                 id="control target mu nan"),
     # was an exit 2 from discretize for every run: the command gives no edges
     pytest.param("causality", {"system": {"kind": "coupled-logistic"}, "scheme": "explicit-edges"},
                  "scheme must be one of ['equiprobable-quantile', 'uniform-width'], got 'explicit-edges'",
@@ -601,10 +679,12 @@ def test_table_names_match_the_code():
     0,  # was "zero-size array to reduction operation minimum which has no identity"
     -5,  # was "negative dimensions are not allowed"
 ])
-def test_fixtures_refuses_out_of_range_sample_counts(tmp_path, capsys, n_samples):
-    code, _ = run(tmp_path, "fixtures", {"name": "xor", "n_samples": n_samples})
+def test_simulate_of_a_fixture_refuses_out_of_range_sample_counts(tmp_path, capsys, n_samples):
+    code, _ = run(tmp_path, "simulate", {"system": {
+        "kind": "symbolic-map", "parameters": {"name": "xor"}, "n_steps": n_samples,
+        "transient_steps": 0}})
     assert code == 2
-    assert capsys.readouterr().err == f"error: n_samples must be >= 2, got {n_samples}\n"
+    assert capsys.readouterr().err == f"error: system.n_steps must be >= 1, got {n_samples}\n"
 
 
 @pytest.mark.parametrize("system, message", [pytest.param(*case[1:], id=case[0]) for case in [
@@ -860,7 +940,8 @@ sys.exit(main(sys.argv[1:]))
     pytest.param("simulate", {"system": {"kind": "goy-shell", "n_steps": 10**12}}, "5.82 TiB",
                  id="goy-shell 1e12 steps"),
     # the sampler's rng.integers
-    pytest.param("fixtures", {"name": "xor", "n_samples": 10**12}, "14.6 TiB",
+    pytest.param("simulate", {"system": {"kind": "symbolic-map", "parameters": {"name": "xor"},
+                                         "n_steps": 10**12, "transient_steps": 0}}, "14.6 TiB",
                  id="xor 1e12 samples"),
 ])
 def test_huge_allocation_exits_5_in_one_line(tmp_path, command, config, size):
@@ -895,7 +976,7 @@ sys.exit(code)
              "n_samples": 50000, "ml_check": {}}, {"causality", "control", "systems"}),
     ("control", {"options": {"n_steps": 400, "transient": 100, "outer_iters": 1,
                              "inner_iters": 1}}, {"causality", "modeling"}),
-    ("fixtures", {"name": "xor"}, {"causality", "control", "descent", "modeling"}),
+    ("fixtures", {}, {"causality", "control", "descent", "modeling"}),
 ], ids=["simulate", "causality from a CSV", "fit", "control", "fixtures"])
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, config, not_loaded):
     # each module is compiled at start-up when no bytecode is cached
@@ -930,18 +1011,32 @@ def test_control_options_must_be_integers(tmp_path, capsys):
     assert capsys.readouterr().err == "error: options.n_steps must be an integer, got 600.5\n"
 
 
-def test_fixtures_catalog_and_samples(tmp_path):
-    code, out = run(tmp_path, "fixtures", {"name": "xor", "n_samples": 500})
+def test_fixtures_catalog(tmp_path):
+    code, out = run(tmp_path, "fixtures", {})
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    assert "xor" in report["catalog"]
+    assert sorted(report["catalog"]) == list(params.FIXTURES)
     assert report["catalog"]["xor"]["alphabet"] == [2, 2, 2]
-    assert (out / "samples.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 
 
 def test_fixtures_unknown_name_exits_2(tmp_path):
     code, _ = run(tmp_path, "fixtures", {"name": "nonesuch"})
     assert code == 2
+
+
+@pytest.mark.parametrize("name", params.FIXTURES)
+def test_simulate_samples_a_fixture_as_its_sampler(tmp_path, name):
+    # the one way to sample a fixture: its codes, in its variables' order
+    fx = systems.symbolic_map_suite()[name]
+    for n, seed in ((2, 0), (500, 7)):
+        code, out = run(tmp_path, "simulate", {"system": {
+            "kind": "symbolic-map", "parameters": {"name": name}, "n_steps": n,
+            "transient_steps": 0, "seed": seed}}, out=f"{n}-{seed}")
+        assert code == 0
+        signal = read_csv(out / "signal.csv")
+        assert tuple(signal.names) == fx.names
+        assert np.array_equal(signal.values, fx.sample(n, seed).codes)
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -169,6 +169,12 @@ def test_partition_spec_validation():
         PartitionSpec(bins_per_variable=1)
     with pytest.raises(ValueError, match="strictly increasing"):
         PartitionSpec("explicit-edges", edges=(np.array([0.0, 0.0, 1.0]),))
+    # a NaN difference is neither <= 0 nor > 0: [0, nan, 1] was accepted
+    for edges in ([0, np.nan, 1], [np.nan, 0, 1], [0, 1, np.nan]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PartitionSpec("explicit-edges", edges=(edges,))
+    # infinite outer edges stay allowed
+    assert PartitionSpec("explicit-edges", edges=([-np.inf, 0, np.inf],)).bins_for(1) == [2]
 
 
 def test_symbol_series_validation():

@@ -23,7 +23,7 @@ from infodyn.pmf import marginalize
 from infodyn.systems import LinearPlant
 
 plant = LinearPlant(a=0.9, noise_std=0.5, sensor_noise_std=0.1, max_delay=4.0)
-target = ControlTarget(mu_target=[0.0], sigma_target=[[0.25]])
+target = ControlTarget(mu=[0.0], sigma=[[0.25]])
 init = ControllerParams(theta_s=[0.0], theta_aa=[0.1],
                         bounds_s=[[0.0, 4.0]], bounds_aa=[[0.0, 1.0]])
 
@@ -37,7 +37,7 @@ for r in trace.records:
 uncontrolled = rollout(plant, ControllerParams(), 8000, 1000, seed=0)
 controlled = rollout(plant, best, 8000, 1000, seed=0)
 print(f"\nvariance of J: uncontrolled {uncontrolled.column('J').var():.3f}"
-      f" -> controlled {controlled.column('J').var():.3f} (target {target.sigma_target[0, 0]})")
+      f" -> controlled {controlled.column('J').var():.3f} (target {target.sigma[0, 0]})")
 
 # loop diagnosis: pair the state with the sensing and actuation that react
 # to it one step later

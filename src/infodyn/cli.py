@@ -4,11 +4,13 @@ Subcommands: simulate | causality | fit | control | fixtures. Each reads a
 JSON config, writes CSV and JSON reports into a run directory, and exits
 with 0 on success, 1 when the causality decomposition identity check
 fails, 2 on config or input errors, 3 when a fit fails to converge, 4 on
-a numerical blow-up of any simulator and 5 on any other error. Configs
-are checked against the parameter table (params) before any work. Reports
-embed the resolved config and repeat byte for byte for a config and seed.
-Each command imports the modules it runs when it starts, so a job compiles
-only those.
+a numerical blow-up of any simulator and 5 on any other error. A command
+line is the command, --config and --out: a value reaches a command only
+through its config key. Configs are checked against the parameter table
+(params) before any work, and a refusal names the key by its config
+path. Reports embed the resolved config and repeat byte for byte for a
+config and seed. Each command imports the modules it runs when it
+starts, so a job compiles only those.
 """
 
 from __future__ import annotations
@@ -35,24 +37,21 @@ class ConfigError(ValueError):
     pass
 
 
-# the config key each command-line flag sets, per command
-FLAGS = {
-    "simulate": {"seed": "system.seed"},
-    "causality": {"seed": "system.seed", "bins": "bins", "lag": "lag", "order": "order"},
-    "fit": {"seed": "seed", "bins": "bins"},
-    "control": {"seed": "options.seed", "bins": "options.bins"},
-    "fixtures": {},
-}
-FLAG_NAMES = ("seed", "bins", "lag", "order")
-
-
 def _write_report(out_dir: Path, payload: dict):
     text = json.dumps(payload, sort_keys=True, indent=2,
                       default=lambda x: x.tolist() if isinstance(x, np.ndarray) else x.item())
     (out_dir / "report.json").write_text(text + "\n")
 
 
-# Each command takes the config as given (see _given), the same config
+def _built(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError refused as a config error led by `path`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}{exc}") from exc
+
+
+# Each command takes the config as given (see main), the same config
 # resolved by the parameter table, and the run directory.
 def cmd_simulate(given: dict, cfg: dict, out_dir: Path) -> int:
     from . import systems
@@ -140,6 +139,7 @@ def cmd_fit(given: dict, cfg: dict, out_dir: Path) -> int:
     for key, theta in (("true_theta", true_theta), ("init_theta", init_theta)):
         if theta.shape != (2,):
             raise ConfigError(f"{family} needs {key} with exactly 2 entries, got {theta.tolist()}")
+    init = _built("init_theta and bounds: ", modeling.ModelParams, init_theta, cfg["bounds"])
 
     # One noise draw serves the reference and every evaluation (common random
     # numbers). The model sorts it in place and counts each histogram by
@@ -149,9 +149,7 @@ def cmd_fit(given: dict, cfg: dict, out_dir: Path) -> int:
     low, high = model.span(true_theta)
     spec = PartitionSpec("explicit-edges", edges=(np.linspace(low - 1.0, high + 1.0, bins + 1),))
     model_pmf = lambda theta: model.pmf(theta, spec)
-    fitted, trace = modeling.kl_descent(model_pmf, model_pmf(true_theta),
-                                        modeling.ModelParams(init_theta, cfg["bounds"]),
-                                        cfg["options"])
+    fitted, trace = modeling.kl_descent(model_pmf, model_pmf(true_theta), init, cfg["options"])
     trace.write_csv(out_dir / "trace.csv")
 
     report = {
@@ -196,9 +194,8 @@ def cmd_control(given: dict, cfg: dict, out_dir: Path) -> int:
     from . import control, systems
 
     plant = systems.LinearPlant(**cfg["plant"])
-    t = cfg["target"]
-    target = control.ControlTarget(t["mu"], t["sigma"], t["relax_mu"], t["relax_sigma"])
-    init = control.ControllerParams(**cfg["init"])
+    target = _built("target.", control.ControlTarget, **cfg["target"])
+    init = _built("init.", control.ControllerParams, **cfg["init"])
     opts = dict(cfg["options"])  # the search reads the resolved options
     steps = opts["n_steps"], opts["transient"], opts["seed"]
     uncontrolled = control.rollout(plant, control.ControllerParams(), *steps)
@@ -209,7 +206,7 @@ def cmd_control(given: dict, cfg: dict, out_dir: Path) -> int:
     trace.write_csv(out_dir / "trace.csv")
     _write_report(out_dir, {
         "command": "control",
-        # the sections as given, with the flags in options
+        # the sections as given
         "config": {k: given[k] for k in ("plant", "target", "init", "options")},
         "best_theta_s": best.theta_s,
         "best_theta_aa": best.theta_aa,
@@ -247,35 +244,11 @@ COMMANDS = {
 }
 
 
-def _given(command: str, config: dict, args) -> dict:
-    """The config as given, flags laid over it. A section left out is {} where
-    the table defaults it to {}, as reports embed it. A flag that the command
-    does not read, or that sets a key of a section still left out
-    (causality's system when it reads an input), is refused."""
-    given = {k: {} for k, (_, default, _) in params.SECTIONS[command].items() if default == {}}
-    given.update((k, dict(v) if isinstance(v, dict) else v) for k, v in config.items())
-    for flag in FLAG_NAMES:
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        if flag not in FLAGS[command]:
-            raise ConfigError(f"--{flag} is not read by {command}")
-        *section, key = FLAGS[command][flag].split(".")
-        target = given.get(section[0]) if section else given
-        if target is None:
-            raise ConfigError(f"--{flag} is not read by {command} without '{section[0]}'")
-        if isinstance(target, dict):  # else the section is refused as given
-            target[key] = value
-    return given
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="infodyn", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default="run", help="output directory")
-    for flag in FLAG_NAMES:  # laid over the config, see FLAGS
-        parser.add_argument(f"--{flag}", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -290,7 +263,10 @@ def main(argv=None) -> int:
                 raise ConfigError(f"malformed JSON config: {exc}") from exc
             if not isinstance(config, dict):
                 raise ConfigError("config root must be a JSON object")
-        given = _given(args.command, config, args)
+        # a section left out is {} where the table defaults it to {}, as reports embed it
+        given = {k: {} for k, (_, default, _) in params.SECTIONS[args.command].items()
+                 if default == {}}
+        given.update(config)
         cfg = params.resolve(args.command, given)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

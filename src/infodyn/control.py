@@ -94,24 +94,24 @@ class ControlTarget:
     which the controller search starts; factors left at None take their
     defaults from the parameter table, which checks the others."""
 
-    mu_target: np.ndarray
-    sigma_target: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
     relax_mu: float = None
     relax_sigma: float = None
 
     def __post_init__(self):
-        mu = np.asarray(self.mu_target, dtype=float).reshape(-1)
-        sig = np.atleast_2d(np.asarray(self.sigma_target, dtype=float))
+        mu = np.asarray(self.mu, dtype=float).reshape(-1)
+        sig = np.atleast_2d(np.asarray(self.sigma, dtype=float))
         if mu.size != 1:
-            raise ValueError(f"mu_target must hold one entry, got {mu.tolist()}")
+            raise ValueError(f"mu must hold one entry, got {mu.tolist()}")
         if sig.shape != (1, 1):
-            raise ValueError(f"sigma_target shape must be (1, 1), got {sig.shape}")
+            raise ValueError(f"sigma shape must be (1, 1), got {sig.shape}")
         if sig[0, 0] < 0:
-            raise ValueError("sigma_target must be nonnegative")
+            raise ValueError("sigma must be nonnegative")
         relax = resolve("target", {k: getattr(self, k) for k in ("relax_mu", "relax_sigma")
                                    if getattr(self, k) is not None})
-        object.__setattr__(self, "mu_target", mu)
-        object.__setattr__(self, "sigma_target", sig)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma", sig)
         object.__setattr__(self, "relax_mu", relax["relax_mu"])
         object.__setattr__(self, "relax_sigma", relax["relax_sigma"])
 
@@ -267,8 +267,8 @@ def build_auxiliary_target(samples: SignalMatrix, target: ControlTarget, relax, 
     xi_mu, xi_sigma = relax
     x = samples.values
     mu_hat, var_hat = x.mean(axis=0), x.var(axis=0)
-    mu_rel = xi_mu * mu_hat + (1.0 - xi_mu) * target.mu_target
-    var_rel = xi_sigma * var_hat + (1.0 - xi_sigma) * np.diag(target.sigma_target)
+    mu_rel = xi_mu * mu_hat + (1.0 - xi_mu) * target.mu
+    var_rel = xi_sigma * var_hat + (1.0 - xi_sigma) * np.diag(target.sigma)
     if np.any((var_hat == 0) & (var_rel > 0)):
         raise ValueError("degenerate rescale: zero current variance with nonzero target variance")
     gamma = np.sqrt(np.divide(var_rel, var_hat, out=np.ones_like(var_rel), where=var_hat > 0))

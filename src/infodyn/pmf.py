@@ -8,7 +8,8 @@ tallies every support: a JointPMF holds distinct codes in increasing order,
 duplicate rows summed, in memory that follows the rows, not the cells.
 `_marginal_walk` derives a whole lattice of marginals from one such tally,
 each from its parent, without building a JointPMF per marginal; count
-marginals with no more cells than rows are held as dense arrays.
+marginals with no more cells than rows, nor than 1024 per occupied cell,
+are held as dense arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["JointPMF", "marginalize"]
+
+DENSE_CELLS_PER_ROOT_CELL = 1024  # the dense tail's bound per occupied cell of the root tally
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -210,12 +213,14 @@ def _marginal_walk(cells, weights, dims, removable, depth):
     A child is counted from its parent's occupied cells with digit d taken
     out of the codes. Integer counts sum exactly in any order, so a count
     marginal with no more cells than the tally counts rows (the rule of
-    `_count_codes`) is held as a dense array, and each of its children is
+    `_count_codes`), nor than DENSE_CELLS_PER_ROOT_CELL per occupied cell
+    of the tally, is held as a dense array, and each of its children is
     one axis sum; its nonzero entries in row-major order are the sparse
     tally, in code order. Float masses keep the sparse walk, whose sums
     are ordered."""
     removable = sorted(removable)
-    dense_cells = int(weights.sum()) if np.issubdtype(weights.dtype, np.integer) else -1
+    dense_cells = (min(int(weights.sum()), DENSE_CELLS_PER_ROOT_CELL * len(weights))
+                   if np.issubdtype(weights.dtype, np.integer) else -1)
 
     def children(shape, below):
         """(d, prod(shape[:d]), prod(shape[d + 1:])) of each digit d to remove."""

@@ -55,13 +55,6 @@ class SystemSpec:
             raise ValueError(f"system.n_steps must be >= transient_steps + 2 = "
                              f"{self.transient_steps + 2}, got {self.n_steps}")
 
-    def check_parameters(self) -> dict:
-        """The parameters laid over this kind's defaults. A key the kind does
-        not read is refused, as is a value of the wrong type or outside its
-        range (params.SECTIONS[kind]): a misspelt key would otherwise be
-        ignored without a word."""
-        return params.resolve(self.kind, self.parameters)
-
 
 class NumericalBlowup(RuntimeError):
     """Raised when a trajectory leaves the finite range, with the step index."""
@@ -175,14 +168,13 @@ def _lorenz96(spec: SystemSpec, p: dict) -> SignalMatrix:
 # ---------------------------------------------------------------------------
 # GOY shell model
 
-def _goy_model(spec: SystemSpec):
-    """GOY set-up: the parameters (the spec's checked and laid over the
-    defaults), the RK4 step of u' = (N(u) - nu k^2 u) + f, the nonlinear term
-    N (the step's own kernel, evaluated at a given state into one buffer
-    that the next call overwrites) and the seeded initial state. N
-    conserves total energy sum |u_n|^2. The shell indices forced_shell and
-    cuts must lie below n_shells."""
-    p = spec.check_parameters()
+def _goy_model(spec: SystemSpec, p: dict):
+    """GOY set-up from the resolved parameters `p`: `p`, the RK4 step of
+    u' = (N(u) - nu k^2 u) + f, the nonlinear term N (the step's own
+    kernel, evaluated at a given state into one buffer that the next call
+    overwrites) and the seeded initial state. N conserves total energy
+    sum |u_n|^2. The shell indices forced_shell and cuts must lie below
+    n_shells."""
     n = p["n_shells"]
     cuts = p["cuts"] = np.array(p["cuts"], dtype=int)
     if cuts.size == 0:
@@ -226,8 +218,8 @@ def _goy_model(spec: SystemSpec):
     return p, _rk4_stepper(rhs, u, spec.dt), nonlinear, u0
 
 
-def _goy_run(spec: SystemSpec) -> SignalMatrix:
-    p, step, nonlinear, u0 = _goy_model(spec)
+def _goy_run(spec: SystemSpec, p: dict) -> SignalMatrix:
+    p, step, nonlinear, u0 = _goy_model(spec, p)
     cuts, sample_every = p["cuts"], p["sample_every"]
     most = (spec.n_steps - spec.transient_steps) // 2  # the run keeps at least 2 samples
     if sample_every > most:
@@ -328,14 +320,15 @@ class LinearPlant:
 
 def simulate(spec: SystemSpec) -> SignalMatrix:
     """Run the system and return its labeled observables; deterministic for
-    a fixed spec + seed, transient discarded."""
-    p = spec.check_parameters()
+    a fixed spec + seed, transient discarded. The parameters are checked
+    against params.SECTIONS[kind], so a misspelt key is refused."""
+    p = params.resolve(spec.kind, spec.parameters)
     if spec.kind == "coupled-logistic":
         return _coupled_logistic(spec, p)
     if spec.kind == "lorenz96":
         return _lorenz96(spec, p)
     if spec.kind == "goy-shell":
-        return _goy_run(spec)
+        return _goy_run(spec, p)
     if spec.kind == "linear-plant":
         theta_s = p.pop("theta_s")
         rows = LinearPlant(**p).closed_loop(0.0, theta_s, spec.n_steps, spec.transient_steps,

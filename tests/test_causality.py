@@ -1,14 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from itertools import combinations, product
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from infodyn import infocore
+from infodyn import infocore, pmf
 from infodyn.causality import (
     CausalityMap,
     _flux_lattice,
@@ -23,6 +28,7 @@ from infodyn.discretization import OccupancyWarning, SymbolSeries, estimate_join
 from infodyn.pmf import JointPMF, _cell_codes, _count_codes, _marginal_walk
 from infodyn.signals import SignalMatrix
 from infodyn.systems import symbolic_map_suite
+from test_cli import CAPPED
 from test_pmf import unique_tally
 
 SUITE = symbolic_map_suite()
@@ -409,9 +415,14 @@ def test_dense_tail_yields_the_tallies_of_the_sparse_walk(weighting, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     columns = rng.integers(0, dims, size=(n_rows, len(dims))).T
     cells, counts = _count_codes(_cell_codes(columns, dims))
-    weights = counts if weighting == "counts" else counts / n_rows
+    # counts far above the support, and bounds per occupied cell below
+    # pmf's, so that the bound on the dense cells decides on these few cells
+    scale = data.draw(st.sampled_from([1, 10**9]))
+    per_cell = data.draw(st.sampled_from([pmf.DENSE_CELLS_PER_ROOT_CELL, 1, 2]))
+    weights = counts * scale if weighting == "counts" else counts / n_rows
     want = list(sparse_walk(cells, weights, dims, removable, depth))
-    got = list(_marginal_walk(cells, weights, dims, removable, depth))
+    with mock.patch.object(pmf, "DENSE_CELLS_PER_ROOT_CELL", per_cell):
+        got = list(_marginal_walk(cells, weights, dims, removable, depth))
     assert [m for m, _, _ in got] == [m for m, _, _ in want]
     for (removed, got_cells, got_weights), (_, zeroed, want_weights) in zip(got, want):
         kept = [d for d in range(len(dims)) if not removed >> d & 1]
@@ -422,6 +433,25 @@ def test_dense_tail_yields_the_tallies_of_the_sparse_walk(weighting, data):
         assert np.array_equal(got_cells, want_cells)
         assert got_weights.dtype == want_weights.dtype
         assert np.array_equal(got_weights, want_weights)  # bitwise, also for float masses
+
+
+# two occupied cells of 10**10 counts each over ten 10-symbol variables
+HUGE_COUNTS = CAPPED + """from infodyn.causality import flux_report_from_pmf
+from infodyn.pmf import JointPMF
+joint = JointPMF.from_counts([[0] * 10, [1] * 10], [10**10, 10**10], (10,) * 10)
+report = flux_report_from_pmf(joint, max_order=1)
+print(report.leak, report.target_entropy)
+"""
+
+
+def test_dense_tail_of_huge_counts_stays_within_the_cap():
+    # a marginal of 10**9 cells was held dense, as the counts outnumber its
+    # cells: the child raised MemoryError (7.45 GiB) under its 2 GiB cap
+    env = {**os.environ, "PYTHONPATH": str(Path(pmf.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", HUGE_COUNTS], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0.0 1.0\n", "")
 
 
 @settings(max_examples=40, deadline=None)

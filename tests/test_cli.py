@@ -196,7 +196,7 @@ def causality_configs(draw):
             "scheme": draw(st.sampled_from(params.SECTIONS["causality"]["scheme"][2]))}
 
 
-def run_quietly(command, config, flags=()):
+def run_quietly(command, config):
     """Exit code and stderr of one CLI run in a scratch directory."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(err), \
@@ -204,7 +204,7 @@ def run_quietly(command, config, flags=()):
         warnings.simplefilter("ignore", discretization.OccupancyWarning)
         cfg = Path(d) / "cfg.json"
         cfg.write_text(json.dumps(config))
-        code = main([command, "--config", str(cfg), "--out", str(Path(d) / "out"), *flags])
+        code = main([command, "--config", str(cfg), "--out", str(Path(d) / "out")])
     err = err.getvalue()
     assert len([line for line in err.splitlines() if line.startswith("error:")]) <= 1, err
     assert "Traceback" not in err
@@ -277,45 +277,23 @@ COMMAND_CONFIGS = {
 EXITS = {"simulate": (0, 2, 4), "fixtures": (0, 2), "fit": (0, 2, 3), "control": (0, 2, 4)}
 
 
-def run_with_any_flags(command, data):
-    """A drawn config of `command` run with any of the four flags: a
-    documented exit, in one line at most; a flag the command does not read
-    exits 2 naming it."""
+def run_any_config(command, data):
+    """A drawn config of `command`: a documented exit, in one line at most."""
     config = data.draw(COMMAND_CONFIGS[command])
-    flags = data.draw(st.dictionaries(st.sampled_from(cli.FLAG_NAMES), st.integers(-1, 5)))
-    args = [arg for flag, value in flags.items() for arg in (f"--{flag}", str(value))]
-    code, err = run_quietly(command, config, args)
-    assert code in EXITS[command], (config, flags, err)
-    foreign = [flag for flag in cli.FLAG_NAMES if flag in flags and flag not in cli.FLAGS[command]]
-    if foreign:
-        assert (code, err) == (2, f"error: --{foreign[0]} is not read by {command}\n")
+    code, err = run_quietly(command, config)
+    assert code in EXITS[command], (config, err)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["fixtures", "simulate"]), st.data())
-def test_simulate_and_fixtures_with_any_flags_exit_with_a_documented_code(command, data):
-    run_with_any_flags(command, data)
+def test_simulate_and_fixtures_with_any_config_exit_with_a_documented_code(command, data):
+    run_any_config(command, data)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["control", "fit"]), st.data())
-def test_fit_and_control_with_any_keys_and_flags_exit_with_a_documented_code(command, data):
-    run_with_any_flags(command, data)
-
-
-def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys):
-    # simulate exited 0 ignoring all three flags
-    code, _ = run(tmp_path, "simulate", VALID["simulate"],
-                  extra=["--lag", "3", "--order", "9", "--bins", "1"])
-    assert code == 2
-    assert capsys.readouterr().err == "error: --bins is not read by simulate\n"
-    # a causality job that reads an input dropped --seed, which sets system.seed
-    write_csv(SignalMatrix(np.random.default_rng(0).standard_normal((50, 2)), ("x", "y")),
-              tmp_path / "signal.csv")
-    code, _ = run(tmp_path, "causality", {"input": str(tmp_path / "signal.csv")},
-                  extra=["--seed", "4"])
-    assert code == 2
-    assert capsys.readouterr().err == "error: --seed is not read by causality without 'system'\n"
+def test_fit_and_control_with_any_keys_exit_with_a_documented_code(command, data):
+    run_any_config(command, data)
 
 
 def test_causality_refuses_both_input_and_system(tmp_path, capsys):
@@ -514,6 +492,17 @@ FIT = {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8], "n_samples": 1000}
                  "ml_check.p_grid[0] must be >= 0 and <= 1, got 1.5", id="fit ml_check p_grid 1.5"),
     pytest.param("fit", {**FIT, "ml_check": {"p_grid": [0.5, -0.5]}},
                  "ml_check.p_grid[1] must be >= 0 and <= 1, got -0.5", id="fit ml_check p_grid -0.5"),
+    pytest.param("fit", {**FIT, "seed": -1}, "seed must be >= 0, got -1", id="negative fit seed"),
+    # each named a constructor field, not the config path
+    pytest.param("control", {"target": {"sigma": [[0.25, 0.1]]}},
+                 "target.sigma shape must be (1, 1), got (1, 2)", id="control target sigma row"),
+    pytest.param("control", {"init": {"bounds_aa": [[1.0, 0.0]]}},
+                 "init.bounds_aa: empty interval", id="control empty gain bounds"),
+    pytest.param("fit", {**FIT, "init_theta": [3, 0.8], "bounds": [[0, 1], [0, 2]]},
+                 "init_theta and bounds: theta outside bounds", id="fit theta outside bounds"),
+    pytest.param("fit", {**FIT, "bounds": [[0, 1]]},
+                 "init_theta and bounds: bounds shape does not match theta",
+                 id="fit one bounds row"),
 ])
 def test_refuses_a_bad_field_in_one_line_naming_it(tmp_path, capsys, command, config, message):
     code, _ = run(tmp_path, command, config)
@@ -521,11 +510,15 @@ def test_refuses_a_bad_field_in_one_line_naming_it(tmp_path, capsys, command, co
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("command, flag_key", [("fit", "seed"), ("simulate", "system.seed")])
-def test_seed_flag_refuses_a_negative_seed(tmp_path, capsys, command, flag_key):
-    code, _ = run(tmp_path, command, VALID[command], extra=["--seed", "-1"])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {flag_key} must be >= 0, got -1\n"
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--bins", "4"], ["--lag", "1"],
+                                  ["--order", "1"]], ids=lambda flag: flag[0][2:])
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_a_former_flag_is_refused_by_the_parser(tmp_path, command, flag):
+    # a value reaches a command only through its config key
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, VALID[command], extra=flag)
+    assert exc.value.code == 2
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("key, theta", [
@@ -668,6 +661,23 @@ def test_readme_parameter_table_matches_params():
                 detail = "the kind's"
             expected.append([section, key, kind, _readme_default(default), detail or ""])
     assert rows == expected
+
+
+def test_readme_options_are_the_command_line():
+    # a command line is the command, --config and --out, as README's command
+    # line and parameters sections name them
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sections = {text.split("\n", 1)[0]: text for text in readme.split("\n## ")}
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*",
+                           sections["Command line"] + sections["Parameters"]))
+    for command in cli.COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            main([command, "--help"])
+        options = out.getvalue().split("\noptions:\n")[1]
+        listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", options))
+        assert listed == {"-h", "--help", "--config", "--out"}, command
+        assert named <= listed, command
 
 
 def test_table_names_match_the_code():
@@ -890,17 +900,18 @@ def test_control_runs_when_the_gain_bounds_exclude_zero(tmp_path):
 
 @pytest.mark.parametrize("config, message", [
     # was an IndexError traceback, exit 1
-    pytest.param({"init": {"theta_s": [], "bounds_s": []}}, "theta_s must hold one entry, got []",
-                 id="no delay"),
+    pytest.param({"init": {"theta_s": [], "bounds_s": []}},
+                 "init.theta_s must hold one entry, got []", id="no delay"),
     # the second gain was searched, then ignored
     pytest.param({"init": {"theta_aa": [0.1, 0.2], "bounds_aa": [[0.0, 1.0], [0.0, 1.0]]}},
-                 "theta_aa must hold one entry, got [0.1, 0.2]", id="two gains"),
+                 "init.theta_aa must hold one entry, got [0.1, 0.2]", id="two gains"),
     # was NumPy's "cannot reshape array of size 3 into shape (2)"
     pytest.param({"init": {"bounds_s": [[0.0, 1.0, 2.0]]}},
-                 "bounds_s must be one [low, high] row, got [[0.0, 1.0, 2.0]]", id="three-value bounds row"),
+                 "init.bounds_s must be one [low, high] row, got [[0.0, 1.0, 2.0]]",
+                 id="three-value bounds row"),
     # was refused only after 6 rollouts
     pytest.param({"target": {"mu": [0, 1], "sigma": [[0.25, 0.0], [0.0, 0.25]]}},
-                 "mu_target must hold one entry, got [0.0, 1.0]", id="two-variable target"),
+                 "target.mu must hold one entry, got [0.0, 1.0]", id="two-variable target"),
 ])
 def test_control_refuses_another_controller_shape_before_any_rollout(tmp_path, capsys, monkeypatch,
                                                                      config, message):
@@ -924,11 +935,12 @@ def test_any_other_error_exits_5_in_one_line(tmp_path, capsys, monkeypatch):
 
 # A child process that caps its own address space at 2 GiB before it imports
 # infodyn, so that an allocation of terabytes fails on any host
-CAPPED_MAIN = """import resource, sys
+CAPPED = """import resource, sys
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
 cap = 2**31 if hard == resource.RLIM_INFINITY else min(2**31, hard)
 resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-from infodyn.cli import main
+"""
+CAPPED_MAIN = CAPPED + """from infodyn.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -1037,13 +1049,3 @@ def test_simulate_samples_a_fixture_as_its_sampler(tmp_path, name):
         signal = read_csv(out / "signal.csv")
         assert tuple(signal.names) == fx.names
         assert np.array_equal(signal.values, fx.sample(n, seed).codes)
-
-
-def test_seed_flag_overrides_config(tmp_path):
-    _, out_a = run(tmp_path, "simulate", {
-        "system": {"kind": "coupled-logistic", "n_steps": 1000, "transient_steps": 100, "seed": 1},
-    }, out="a", extra=["--seed", "9"])
-    _, out_b = run(tmp_path, "simulate", {
-        "system": {"kind": "coupled-logistic", "n_steps": 1000, "transient_steps": 100, "seed": 9},
-    }, out="b")
-    assert (out_a / "signal.csv").read_bytes() == (out_b / "signal.csv").read_bytes()

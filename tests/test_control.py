@@ -66,7 +66,7 @@ def test_uncontrolled_rollout_does_not_read_the_delay(a, noise_std, sensor_noise
 
 
 def test_control_target_validation():
-    with pytest.raises(ValueError, match="sigma_target shape"):
+    with pytest.raises(ValueError, match="sigma shape"):
         ControlTarget([0.0], [[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match=r"^target\.relax_mu must be > 0 and <= 1, got 0\.0$"):
         ControlTarget([0.0], [[1.0]], relax_mu=0.0)

@@ -137,7 +137,8 @@ def test_goy_nonlinear_conserves_energy_instantaneously():
     for n_shells in (19, 2, 3, 25):
         for eps in (0.5, 0.3):
             parameters = {"n_shells": n_shells, "eps": eps, "forced_shell": 0, "cuts": [0]}
-            _, _, nonlinear, _ = _goy_model(SystemSpec("goy-shell", parameters))
+            _, _, nonlinear, _ = _goy_model(SystemSpec("goy-shell", parameters),
+                                            resolve("goy-shell", parameters))
             u = rng.standard_normal(n_shells) + 1j * rng.standard_normal(n_shells)
             nl = nonlinear(u)
             assert abs(np.sum(2 * np.real(np.conj(u) * nl))) < 1e-10 * np.sum(np.abs(u) ** 2)
@@ -204,7 +205,7 @@ def test_goy_run_matches_former_loop(params, n_steps, transient):
 def _goy_energy_drift(spec):
     """Relative drift of total energy over the run, an integrator check:
     with nu = f_amp = 0 in the spec, RK4 of the nonlinear term alone."""
-    p, step, _, u0 = _goy_model(spec)
+    p, step, _, u0 = _goy_model(spec, resolve(spec.kind, spec.parameters))
     energy = lambda u: np.sum(np.abs(u) ** 2)
     _, u = _integrate(step, u0, spec, energy, p["sample_every"])
     return abs(energy(u) - energy(u0)) / energy(u0)
@@ -241,7 +242,7 @@ def test_goy_stepper_matches_allocating_form_bit_for_bit(n_shells, eps, nu, f_am
     spec = SystemSpec("goy-shell", {"n_shells": n_shells, "eps": eps, "nu": nu, "f_amp": f_amp,
                                     "forced_shell": forced_shell, "cuts": [0]},
                       n_steps=250, transient_steps=0, seed=seed, dt=dt)
-    _, step, _, u0 = _goy_model(spec)
+    _, step, _, u0 = _goy_model(spec, resolve(spec.kind, spec.parameters))
     _, k, coeff, u = _goy_setup_oracle(spec)
     f = np.zeros(n_shells, dtype=complex)
     f[forced_shell] = (1 + 1j) * f_amp

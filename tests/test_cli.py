@@ -492,7 +492,6 @@ FIT = {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8], "n_samples": 1000}
                  "ml_check.p_grid[0] must be >= 0 and <= 1, got 1.5", id="fit ml_check p_grid 1.5"),
     pytest.param("fit", {**FIT, "ml_check": {"p_grid": [0.5, -0.5]}},
                  "ml_check.p_grid[1] must be >= 0 and <= 1, got -0.5", id="fit ml_check p_grid -0.5"),
-    pytest.param("fit", {**FIT, "seed": -1}, "seed must be >= 0, got -1", id="negative fit seed"),
     # each named a constructor field, not the config path
     pytest.param("control", {"target": {"sigma": [[0.25, 0.1]]}},
                  "target.sigma shape must be (1, 1), got (1, 2)", id="control target sigma row"),
@@ -519,6 +518,26 @@ def test_a_former_flag_is_refused_by_the_parser(tmp_path, command, flag):
         run(tmp_path, command, VALID[command], extra=flag)
     assert exc.value.code == 2
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, flag_key", [("fit", "seed"), ("simulate", "system.seed")])
+def test_seed_flag_refuses_a_negative_seed(tmp_path, capsys, command, flag_key):
+    # the parser refuses the former --seed flag before any value is read,
+    # and the config key that replaces it refuses -1 naming its path
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, VALID[command], extra=["--seed", "-1"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "run").exists()
+    capsys.readouterr()
+    config = json.loads(json.dumps(VALID[command]))
+    *sections, key = flag_key.split(".")
+    target = config
+    for section in sections:
+        target = target[section]
+    target[key] = -1
+    code, _ = run(tmp_path, command, config)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {flag_key} must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("key, theta", [

@@ -11,6 +11,8 @@ import numpy as np
 
 __all__ = ["SignalMatrix", "read_csv", "write_csv"]
 
+CSV_BLOCK = 1024  # rows formatted per % call in write_csv, bounding its working set
+
 
 @dataclass(frozen=True, eq=False)
 class SignalMatrix:
@@ -73,7 +75,12 @@ def read_csv(path, dt: float = 1.0) -> SignalMatrix:
 
 
 def write_csv(signal: SignalMatrix, path) -> None:
-    path = Path(path)
-    header = ",".join(signal.names)
-    np.savetxt(path, signal.values, delimiter=",", header=header, comments="", fmt="%.17g")
-
+    """The header row of names, then one row per sample of `%.17g` cells
+    joined by `,`: np.savetxt's bytes, formatted one block of rows per call
+    rather than one row."""
+    row = ",".join(["%.17g"] * signal.n_variables) + "\n"
+    with Path(path).open("w") as fh:
+        fh.write(",".join(signal.names) + "\n")
+        for start in range(0, signal.n_samples, CSV_BLOCK):
+            block = signal.values[start:start + CSV_BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))

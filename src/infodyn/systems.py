@@ -89,7 +89,7 @@ def _integrate(step, x0, spec: SystemSpec, observe, sample_every=1):
 
 
 def _rk4_stepper(rhs, stage, dt):
-    """The RK4 step x -> x + (dt/6) (k1 + 2 k2 + 2 k3 + k4) of x' = rhs.
+    """GOY's RK4 step x -> x + (dt/6) (k1 + 2 k2 + 2 k3 + k4) of x' = rhs.
     rhs(out) evaluates the right-hand side at the array `stage` into out;
     each stage input (x, x + (dt/2) k1, x + (dt/2) k2, x + dt k3) is written
     into `stage` in place, and k1..k4 are buffers kept across steps, so a
@@ -144,24 +144,43 @@ def _coupled_logistic(spec: SystemSpec, p: dict) -> SignalMatrix:
 # ---------------------------------------------------------------------------
 # Lorenz-96
 
+def _lorenz96_stepper(n: int, forcing: float, dt: float):
+    """The RK4 step of x_i' = ((x[i+1] - x[i-2]) * x[i-1] - x[i]) + forcing
+    on a tuple of n sites' Python floats: stage inputs x + (dt/2) k1,
+    x + (dt/2) k2 and x + dt k3, then x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4):
+    the IEEE operations, in order, of _rk4_stepper on arrays, so a run is
+    bit for bit that of a NumPy step. Straight-line source, one local per
+    site and stage, is generated from the site indices alone and compiled
+    into a scope holding the constants as floats. At about 0.45 us per site
+    it beats NumPy's flat ~15 us per step (33 calls on arrays of a few
+    entries) up to about 30 sites."""
+
+    def rhs(k, v):  # k_i = ((v[i+1] - v[i-2]) * v[i-1] - v[i]) + forcing
+        return [f"{k}{i} = (({v}{(i + 1) % n} - {v}{(i - 2) % n}) * {v}{(i - 1) % n} - {v}{i})"
+                " + forcing" for i in range(n)]
+
+    def stage(v, c, k):  # v_i = x_i + c * k_i
+        return [f"{v}{i} = x{i} + {c} * {k}{i}" for i in range(n)]
+
+    body = ["".join(f"x{i}, " for i in range(n)) + "= x",
+            *rhs("a", "x"), *stage("p", "half", "a"),
+            *rhs("b", "p"), *stage("q", "half", "b"),
+            *rhs("c", "q"), *stage("r", "full", "c"),
+            *rhs("d", "r"),
+            "return " + "".join(f"x{i} + sixth * (((a{i} + two * b{i}) + two * c{i}) + d{i}), "
+                                for i in range(n))]
+    scope = {"forcing": forcing, "half": 0.5 * dt, "full": dt, "two": 2.0, "sixth": dt / 6.0}
+    source = "def step(x):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(source, f"<lorenz96 RK4 step, {n} sites>", "exec"), scope)
+    return scope["step"]
+
+
 def _lorenz96(spec: SystemSpec, p: dict) -> SignalMatrix:
-    n_sites, forcing = p["n_sites"], np.array(p["forcing"])  # 0-d: see _rk4_stepper
+    n_sites = p["n_sites"]
     rng = np.random.default_rng(spec.seed)
-    x0 = forcing * np.ones(n_sites) + 0.01 * rng.standard_normal(n_sites)
-    # sites i-2, i-1, i and i+1 as views of one buffer: the stage between a
-    # cyclic pad of two sites below and one above, refreshed at each stage
-    pad = np.empty(n_sites + 3)
-    im2, im1, x, ip1 = (pad[j:j + n_sites] for j in range(4))
-    wrapped, sites = np.array([0, 1, n_sites + 2]), np.array([n_sites, n_sites + 1, 2])
-
-    def rhs(out):  # ((x[i+1] - x[i-2]) * x[i-1] - x[i]) + forcing
-        pad[wrapped] = pad[sites]
-        np.subtract(ip1, im2, out)
-        np.multiply(out, im1, out)
-        np.subtract(out, x, out)
-        np.add(out, forcing, out)
-
-    rows, _ = _integrate(_rk4_stepper(rhs, x, spec.dt), x0, spec, lambda state: state)
+    x0 = p["forcing"] * np.ones(n_sites) + 0.01 * rng.standard_normal(n_sites)
+    step = _lorenz96_stepper(n_sites, p["forcing"], spec.dt)
+    rows, _ = _integrate(step, tuple(x0.tolist()), spec, lambda state: state)
     return SignalMatrix(rows, tuple(f"x{i}" for i in range(n_sites)), spec.dt)
 
 

@@ -1,8 +1,13 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from infodyn import signals
 from infodyn.discretization import (
     PartitionSpec,
     SymbolSeries,
@@ -37,6 +42,28 @@ def test_csv_roundtrip(tmp_path):
     back = read_csv(tmp_path / "s.csv")
     assert back.names == sig.names
     assert np.array_equal(back.values, sig.values)
+
+
+# the extreme cells of %.17g: signed zero, subnormals, the largest finite
+# values and three-digit exponents either way
+EDGE_CELLS = [-0.0, 0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308,
+              -1.7976931348623157e308, 1e300, -3.5e-300, 1.2345678901234567e-300]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_columns=st.integers(1, 9), n_rows=st.integers(2, 12),
+       block=st.integers(1, 5))
+def test_write_csv_writes_the_bytes_of_savetxt(data, n_columns, n_rows, block):
+    cells = st.one_of(st.sampled_from(EDGE_CELLS), st.floats(allow_nan=False, allow_infinity=False))
+    values = np.array(data.draw(st.lists(cells, min_size=n_rows * n_columns,
+                                         max_size=n_rows * n_columns))).reshape(n_rows, n_columns)
+    names = tuple(f"v{i}" for i in range(n_columns))
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        with mock.patch.object(signals, "CSV_BLOCK", block):  # rows cross block edges
+            write_csv(SignalMatrix(values, names), got)
+        np.savetxt(want, values, delimiter=",", header=",".join(names), comments="", fmt="%.17g")
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_read_csv_malformed(tmp_path):

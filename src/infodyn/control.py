@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import infocore
-from .descent import OptimizationTrace, minimize
+from .descent import OptimizationTrace, checked_start, minimize
 from .discretization import PartitionSpec, SymbolSeries, discretize, estimate_joint_pmf
 from .params import resolve
 from .pmf import JointPMF, marginalize
@@ -61,27 +61,13 @@ class ControllerParams:
     bounds_aa: np.ndarray | None = None
 
     def __post_init__(self):
-        for block, bounds in (("theta_s", "bounds_s"), ("theta_aa", "bounds_aa")):
-            t = np.asarray(getattr(self, block), dtype=float).reshape(-1)
+        for block, box in (("theta_s", "bounds_s"), ("theta_aa", "bounds_aa")):
+            t = np.asarray(getattr(self, block), dtype=float)
             if t.size != 1:
                 raise ValueError(f"{block} must hold one entry, got {t.tolist()}")
-            if not np.all(np.isfinite(t)):  # bounds may be infinite, the parameters not
-                raise ValueError(f"{block} must be finite, got {t.tolist()}")
-            b = getattr(self, bounds)
-            if b is not None:
-                b = np.asarray(b, dtype=float)
-                if b.size != 2:
-                    raise ValueError(f"{bounds} must be one [low, high] row, got {b.tolist()}")
-                b = b.reshape(1, 2)
-                if np.any(b[:, 0] > b[:, 1]):
-                    raise ValueError(f"{bounds}: empty interval")
-                if np.any(t < b[:, 0]) or np.any(t > b[:, 1]):
-                    raise ValueError(f"{block} outside bounds")
+            t, b = checked_start(t, getattr(self, box), (block, box))
             object.__setattr__(self, block, t)
-            object.__setattr__(self, bounds, b)
-
-    def replace(self, **kwargs) -> "ControllerParams":
-        return replace(self, **kwargs)
+            object.__setattr__(self, box, b)
 
     def packed(self) -> np.ndarray:
         return np.concatenate([self.theta_s, self.theta_aa])
@@ -362,7 +348,7 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
             block_start = len(blowups)
 
             def score(t):
-                traj = run(current.replace(**{"theta_" + block: t}))
+                traj = run(replace(current, **{"theta_" + block: t}))
                 return REJECTED_SCORE if traj is None else objective(traj)
 
             theta, _, _ = minimize(score, start, bounds=bounds, tol=opts["inner_tol"],
@@ -371,7 +357,7 @@ def optimize_controller(plant, target: ControlTarget, init: ControllerParams, op
             if len(blowups) > block_start and bounds is not None:  # halve the box about the start
                 bounds = start[:, None] + 0.5 * (bounds - start[:, None])
                 theta = np.clip(theta, bounds[:, 0], bounds[:, 1])
-            current = current.replace(**{"theta_" + block: theta, "bounds_" + block: bounds})
+            current = replace(current, **{"theta_" + block: theta, "bounds_" + block: bounds})
 
         traj = run(current)  # one rollout for the iteration's record
         if traj is None:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["OptimizationTrace", "fd_gradient", "minimize"]
+__all__ = ["OptimizationTrace", "checked_start", "fd_gradient", "minimize"]
 
 
 @dataclass
@@ -56,11 +56,27 @@ class OptimizationTrace:
                 w.writerow(row)
 
 
-def _project(theta, bounds):
+def checked_start(theta, bounds, names=("theta", "bounds")):
+    """theta as a finite 1-D float vector, and bounds as None or one
+    [low, high] row per entry: the one check of a search's start and box.
+    A NaN bound, an empty interval and a theta outside its box are refused
+    as well, each by a one-line ValueError naming the field in `names`."""
+    name, box = names
+    t = np.atleast_1d(np.asarray(theta, dtype=float))
+    if t.ndim != 1 or not np.all(np.isfinite(t)):  # the bounds may be infinite, theta not
+        raise ValueError(f"{name} must be a finite 1-D vector, got {t.tolist()}")
     if bounds is None:
-        return theta
+        return t, None
     b = np.asarray(bounds, dtype=float)
-    return np.clip(theta, b[:, 0], b[:, 1])
+    if b.shape != (t.size, 2):
+        raise ValueError(f"{box} must be one [low, high] row per entry of {name}, got {b.tolist()}")
+    if np.any(np.isnan(b)):
+        raise ValueError(f"{box} must not be NaN, got {b.tolist()}")
+    if np.any(b[:, 0] > b[:, 1]):
+        raise ValueError(f"{box}: empty interval")
+    if np.any(t < b[:, 0]) or np.any(t > b[:, 1]):
+        raise ValueError(f"{name} outside {box}")
+    return t, b
 
 
 def _fd_steps(theta, fd_step):
@@ -113,14 +129,17 @@ def minimize(
 ):
     """Minimize f from theta0 within bounds; to maximize, pass -f.
 
-    Returns (best_theta, best_value, trace). Stops when the evaluated
-    objective improves by less than tol between consecutive iterations
-    (converged), the gradient vanishes, or max_iters is reached. A vanished
-    gradient is convergence only when every bound interval has zero width:
-    a histogram objective is flat below its bin-crossing scale. f is only
-    evaluated within the bounds (see fd_gradient).
+    theta0 must lie in its box (see checked_start). Returns (best_theta,
+    best_value, trace). Stops when the evaluated objective improves by less
+    than tol between consecutive iterations (converged), the gradient
+    vanishes, a value or slope is not finite (unconverged: no step is
+    defined), or max_iters is reached. A vanished gradient is convergence
+    only when every bound interval has zero width: a histogram objective is
+    flat below its bin-crossing scale. f is only evaluated within the
+    bounds (see fd_gradient).
     """
-    theta = _project(np.asarray(theta0, dtype=float).copy(), bounds)
+    theta, bounds = checked_start(theta0, bounds, ("theta0", "bounds"))
+    low, high = _box(theta, bounds).T
     trace = OptimizationTrace()
     prev_theta = prev_grad = None
     best_theta, best_val = theta.copy(), np.inf
@@ -130,10 +149,10 @@ def minimize(
         if val < best_val:
             best_val, best_theta = val, theta.copy()
         gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0.0:
+        finite = np.isfinite(val) and np.all(np.isfinite(grad))
+        if gnorm == 0.0 or not finite:  # no step: a flat slope, or none at a non-finite value
             trace.add(iteration=it, value=val, theta=theta.copy(), step=0.0)
-            box = _box(theta, bounds)
-            trace.converged = bool(np.all(box[:, 0] == box[:, 1]))
+            trace.converged = bool(finite and np.all(low == high))
             break
         if prev_grad is None:
             gamma = initial_step / gnorm
@@ -147,5 +166,5 @@ def minimize(
             trace.converged = True
             break
         prev_theta, prev_grad, last_val = theta.copy(), grad, val
-        theta = _project(theta - gamma * grad, bounds)
+        theta = np.clip(theta - gamma * grad, low, high)
     return best_theta, best_val, trace

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import infocore
-from .descent import minimize
+from .descent import checked_start, minimize
 from .discretization import (PartitionSpec, SymbolSeries, _warn_if_sparse, discretize,
                              estimate_joint_pmf)
+from .params import resolve
 from .pmf import JointPMF
 
 __all__ = [
@@ -66,16 +67,9 @@ class ModelParams:
     bounds: np.ndarray | None = None
 
     def __post_init__(self):
-        t = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        b = None
-        if self.bounds is not None:
-            b = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
-            if b.shape[0] != t.size:
-                raise ValueError("bounds shape does not match theta")
-            if np.any(t < b[:, 0]) or np.any(t > b[:, 1]):
-                raise ValueError("theta outside bounds")
-        object.__setattr__(self, "theta", t)
-        object.__setattr__(self, "bounds", b)
+        theta, bounds = checked_start(self.theta, self.bounds)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "bounds", bounds)
 
 
 def _fano_raw(a: ModelAssessment) -> float:
@@ -113,19 +107,18 @@ def kl_descent(model_pmf, reference: JointPMF, init: ModelParams, options=None):
     model_pmf maps a theta vector to a JointPMF on the reference's
     partition and must be deterministic (common random numbers keep the
     finite-difference gradient meaningful); it is evaluated only within
-    init.bounds. options: tol (default 1e-6 bits), max_iters (200), epsilon
-    (KL floor for off-support cells, default None = infinite KL
-    propagates), initial_step (0.05). Returns (ModelParams at the best-seen
-    theta, trace).
+    init.bounds, which hold init.theta. The parameter table's `fit.options`
+    section checks and defaults `options`; its epsilon floors the model's
+    empty cells. The search stops unconverged at a non-finite KL. Returns
+    (ModelParams at the best-seen theta, trace).
     """
-    options = options or {}
-    # the search options given go through to minimize, which defaults the rest
-    search = {k: options[k] for k in ("tol", "max_iters", "initial_step") if k in options}
+    opts = resolve("fit.options", options or {})
 
     def objective(theta):
-        return infocore.kl_divergence(reference, model_pmf(theta), epsilon=options.get("epsilon"))
+        return infocore.kl_divergence(reference, model_pmf(theta), epsilon=opts["epsilon"])
 
-    best_theta, _, trace = minimize(objective, init.theta, bounds=init.bounds, **search)
+    best_theta, _, trace = minimize(objective, init.theta, bounds=init.bounds, tol=opts["tol"],
+                                    max_iters=opts["max_iters"], initial_step=opts["initial_step"])
     return ModelParams(best_theta, init.bounds), trace
 
 
@@ -137,7 +130,8 @@ def kl_fit(simulate, reference: JointPMF, observable_spec: PartitionSpec, init: 
     and estimated as a lag-0 joint PMF, so sample order is ignored: draw
     any noise once, outside simulate, rather than on every evaluation. A
     family whose histogram is cheaper to count than to sample passes its
-    own model_pmf to kl_descent (see AffineNoise). options as kl_descent.
+    own model_pmf to kl_descent (see AffineNoise). init (a start within its
+    box) and options as kl_descent, which stops at a non-finite KL.
     """
 
     def model_pmf(theta):

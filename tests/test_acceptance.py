@@ -1,6 +1,7 @@
 """Numbered end-to-end checks of the library's headline properties."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,7 +277,7 @@ def test_12_controller_search_matches_grid():
     best, trace = optimize_controller(plant, target, init)
 
     # exhaustive grid over the same objective at the initial relaxation
-    base = rollout(plant, init.replace(theta_aa=np.zeros(1)), 4000, 500, 0)
+    base = rollout(plant, replace(init, theta_aa=np.zeros(1)), 4000, 500, 0)
     j = base.column("J")
     span = j.max() - j.min()
     edges = np.linspace(j.min() - 0.1 * span, j.max() + 0.1 * span, 9)
@@ -286,7 +287,7 @@ def test_12_controller_search_matches_grid():
     for s in s_grid:
         for b in b_grid:
             try:
-                traj = rollout(plant, init.replace(theta_s=[s], theta_aa=[b]), 4000, 500, 0)
+                traj = rollout(plant, replace(init, theta_s=[s], theta_aa=[b]), 4000, 500, 0)
                 v = kl_objective(traj, target, (0.6, 0.6), edges, 1e-9)
             except NumericalBlowup:
                 v = 1e6

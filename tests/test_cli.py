@@ -500,8 +500,8 @@ FIT = {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8], "n_samples": 1000}
     pytest.param("fit", {**FIT, "init_theta": [3, 0.8], "bounds": [[0, 1], [0, 2]]},
                  "init_theta and bounds: theta outside bounds", id="fit theta outside bounds"),
     pytest.param("fit", {**FIT, "bounds": [[0, 1]]},
-                 "init_theta and bounds: bounds shape does not match theta",
-                 id="fit one bounds row"),
+                 "init_theta and bounds: bounds must be one [low, high] row per entry of theta, "
+                 "got [[0.0, 1.0]]", id="fit one bounds row"),
 ])
 def test_refuses_a_bad_field_in_one_line_naming_it(tmp_path, capsys, command, config, message):
     code, _ = run(tmp_path, command, config)
@@ -926,7 +926,8 @@ def test_control_runs_when_the_gain_bounds_exclude_zero(tmp_path):
                  "init.theta_aa must hold one entry, got [0.1, 0.2]", id="two gains"),
     # was NumPy's "cannot reshape array of size 3 into shape (2)"
     pytest.param({"init": {"bounds_s": [[0.0, 1.0, 2.0]]}},
-                 "init.bounds_s must be one [low, high] row, got [[0.0, 1.0, 2.0]]",
+                 "init.bounds_s must be one [low, high] row per entry of theta_s, "
+                 "got [[0.0, 1.0, 2.0]]",
                  id="three-value bounds row"),
     # was refused only after 6 rollouts
     pytest.param({"target": {"mu": [0, 1], "sigma": [[0.25, 0.0], [0.0, 0.25]]}},

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +39,7 @@ def test_controller_params_validation():
     with pytest.raises(ValueError, match="outside bounds"):
         ControllerParams(theta_s=[9.0], bounds_s=[[0.0, 4.0]])
     p = ControllerParams(theta_s=[1.0], theta_aa=[0.2])
-    q = p.replace(theta_aa=[0.5])
+    q = replace(p, theta_aa=[0.5])
     assert q.theta_aa[0] == 0.5 and q.theta_s[0] == 1.0
     assert np.array_equal(q.packed(), [1.0, 0.5])
 
@@ -278,7 +281,7 @@ def _two_step_search_oracle(plant, target, init, options):
     # the former search: step 1 and step 2 written out, and only step 2
     # catching a blow-up (one in step 1 or in the record ends the search)
     opts = params.resolve("control.options", options)
-    edges = control.padded_edges(rollout(plant, init.replace(theta_aa=[0.0]), opts["n_steps"],
+    edges = control.padded_edges(rollout(plant, replace(init, theta_aa=[0.0]), opts["n_steps"],
                                          opts["transient"], opts["seed"]), opts["bins"])
     trace = OptimizationTrace()
     current, bounds_aa = init, init.bounds_aa.copy()
@@ -292,15 +295,15 @@ def _two_step_search_oracle(plant, target, init, options):
 
     for outer in range(opts["outer_iters"]):
         theta_s, _, _ = minimize(
-            lambda t: -_three_column_mi(run(current.replace(theta_s=t)), opts["bins"], (0, 1)),
+            lambda t: -_three_column_mi(run(replace(current, theta_s=t)), opts["bins"], (0, 1)),
             current.theta_s, bounds=current.bounds_s, **inner)
-        current = current.replace(theta_s=theta_s)
+        current = replace(current, theta_s=theta_s)
         failure = False
 
         def aa_objective(t):
             nonlocal failure
             try:
-                return kl_objective(run(current.replace(theta_aa=t, bounds_aa=bounds_aa)),
+                return kl_objective(run(replace(current, theta_aa=t, bounds_aa=bounds_aa)),
                                     target, relax, edges, opts["kl_floor"])
             except NumericalBlowup:
                 failure = True
@@ -311,7 +314,7 @@ def _two_step_search_oracle(plant, target, init, options):
             center = current.theta_aa
             bounds_aa = np.column_stack([center + 0.5 * (bounds_aa[:, 0] - center),
                                          center + 0.5 * (bounds_aa[:, 1] - center)])
-        current = current.replace(theta_aa=theta_aa, bounds_aa=bounds_aa)
+        current = replace(current, theta_aa=theta_aa, bounds_aa=bounds_aa)
         traj = run(current)
         kl_now = kl_objective(traj, target, relax, edges, opts["kl_floor"])
         accepted = kl_now < last_accepted
@@ -370,3 +373,48 @@ def test_optimize_controller_rejects_a_record_that_blows_up():
     assert record["plant_failure"] and not record["accepted"]
     assert np.isnan(record["obs_mi"]) and np.isnan(record["ctrl_mi"])
     assert trace.converged and best is init
+
+
+@st.composite
+def start_and_box(draw, low, high):
+    """A one-entry start and its box within [low, high]: zero width, the start
+    on either end, or inside."""
+    lo, hi = sorted([draw(st.floats(low, high)), draw(st.floats(low, high))])
+    where = draw(st.sampled_from(["zero width", "on low", "on high", "inside"]))
+    if where == "zero width":
+        return [lo], [[lo, lo]]
+    start = {"on low": lo, "on high": hi}[where] if where != "inside" else draw(st.floats(lo, hi))
+    return [start], [[lo, hi]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-0.9, 0.9), noise_std=st.floats(0.1, 1.0), sensor_noise_std=st.floats(0.0, 0.5),
+       max_delay=st.floats(0.0, 4.0), seed=st.integers(0, 2**16),
+       delay=start_and_box(0.0, 4.0), gain=start_and_box(-1.0, 3.0), blowup=st.sampled_from([20.0, 1e9]))
+def test_controller_search_keeps_every_rollout_in_its_box(a, noise_std, sensor_noise_std, max_delay,
+                                                          seed, delay, gain, blowup):
+    # a gain box reaching far past the stable gains makes probes blow up, and
+    # the search halves the box about its start; no point of any search, and
+    # no record, may leave the box it started in (raised as "theta_aa
+    # outside bounds" at the time of the first controller search). A plant
+    # without process noise is left out: its J is constant at zero gain,
+    # and the auxiliary target refuses to rescale it ("degenerate rescale")
+    plant = LinearPlant(a=a, noise_std=noise_std, sensor_noise_std=sensor_noise_std,
+                        max_delay=max_delay, blowup=blowup)
+    init = ControllerParams(theta_s=delay[0], bounds_s=delay[1], theta_aa=gain[0], bounds_aa=gain[1])
+    rolled = []
+    real_rollout = control.rollout
+
+    def recorded(plant, params, *steps):
+        rolled.append(params)
+        return real_rollout(plant, params, *steps)
+
+    with mock.patch.object(control, "rollout", recorded):
+        best, trace = control.optimize_controller(
+            plant, ControlTarget([0.0], [[0.25]]), init,
+            {"n_steps": 300, "transient": 50, "bins": 4, "seed": seed, "inner_iters": 3,
+             "outer_iters": 3})
+    (s_lo, s_hi), (aa_lo, aa_hi) = init.bounds_s[0], init.bounds_aa[0]
+    thetas = [p.packed() for p in rolled[1:]] + [r["theta"] for r in trace.records]
+    assert all(s_lo <= s <= s_hi and aa_lo <= aa <= aa_hi for s, aa in thetas)
+    assert best is init or any(best is p for p in rolled)

@@ -1,11 +1,14 @@
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from infodyn import infocore, modeling
+from infodyn import infocore, modeling, params
+from infodyn.control import ControllerParams, ControlTarget, optimize_controller
 from infodyn.descent import OptimizationTrace, fd_gradient, minimize
 from infodyn.discretization import PartitionSpec, SymbolSeries, discretize, estimate_joint_pmf
 from infodyn.modeling import (
@@ -14,12 +17,14 @@ from infodyn.modeling import (
     ModelParams,
     expected_error_lower_bound,
     fano_error_probability_bound,
+    kl_descent,
     kl_fit,
     ml_equivalence_check,
     pinsker_statistical_bound,
 )
 from infodyn.pmf import JointPMF
 from infodyn.signals import SignalMatrix
+from infodyn.systems import LinearPlant
 
 
 def test_assessment_invariants():
@@ -66,8 +71,111 @@ def test_pinsker_infinite_on_support_mismatch():
 def test_model_params_bounds_check():
     with pytest.raises(ValueError, match="outside bounds"):
         ModelParams([5.0], [[0.0, 1.0]])
-    with pytest.raises(ValueError, match="bounds shape"):
+    with pytest.raises(ValueError, match=r"bounds must be one \[low, high\] row per entry of theta"):
         ModelParams([1.0, 2.0], [[0.0, 5.0]])
+
+
+# --- the start and box of a search ---
+
+def _refusal(build):
+    """The message of build()'s ValueError, or None when it returns."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _start_and_box_are_valid(theta, bounds):
+    """The contract of a search's start and box, stated on its own."""
+    t = np.asarray(theta, dtype=float)
+    if t.ndim > 1 or not np.all(np.isfinite(t)):
+        return False
+    if bounds is None:
+        return True
+    b = np.asarray(bounds, dtype=float)
+    return (b.shape == (t.size, 2) and not np.any(np.isnan(b)) and np.all(b[:, 0] <= b[:, 1])
+            and np.all(b[:, 0] <= t) and np.all(t <= b[:, 1]))
+
+
+def mostly(usual, rare):
+    """`usual` in seven draws of eight, else `rare`."""
+    return st.tuples(st.integers(0, 7), usual, rare).map(lambda t: t[2] if t[0] == 0 else t[1])
+
+
+ENTRIES = mostly(st.floats(-2.0, 2.0), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def starts_and_boxes(draw):
+    """A theta of one or two entries, now and then 2-D or non-finite, and
+    none or some [low, high] rows: one per entry about theta in most draws."""
+    size = draw(st.integers(1, 2))
+    theta = draw(st.lists(ENTRIES, min_size=size, max_size=size))
+    if draw(st.integers(0, 7)) == 0:
+        theta = [theta]
+    kind = draw(st.sampled_from(["none", "about theta", "any rows"]))
+    if kind == "none":
+        return theta, None
+    if kind == "any rows":
+        rows = draw(st.integers(0, 3))
+        return theta, draw(st.lists(st.lists(ENTRIES, min_size=2, max_size=2),
+                                    min_size=rows, max_size=rows))
+    # a row per entry reaching from theta by a margin each side, maybe negative
+    margins = st.lists(mostly(st.floats(-0.5, 2.0), st.just(math.inf)), min_size=size, max_size=size)
+    below, above = draw(margins), draw(margins)
+    flat = np.ravel(theta).tolist()  # Python floats: inf - inf is NaN without a warning
+    return theta, [[t - lo, t + hi] for t, lo, hi in zip(flat, below, above)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(starts_and_boxes())
+# the reproduced cases: each was accepted by one caller and refused by another
+@example(([math.nan], None))  # ModelParams and minimize took it
+@example(([math.inf], None))
+@example(([0.5], [[math.nan, 1.0]]))  # all three took a NaN bound
+@example(([[0.1, 0.2]], None))  # ModelParams kept the (1, 2) shape
+@example(([[0.5]], None))
+@example(([9.0], [[0.0, 1.0]]))  # minimize projected it to 1.0
+def test_model_controller_and_search_accept_the_same_starts_and_boxes(case):
+    theta, bounds = case
+    valid = _start_and_box_are_valid(theta, bounds)
+    model = _refusal(lambda: ModelParams(theta, bounds))
+    search = _refusal(lambda: minimize(lambda t: 0.0, theta, bounds=bounds))
+    assert (model is None) == (search is None) == valid, (model, search)
+    if np.size(theta) == 1:  # a one-entry block, after its own one-entry check
+        controller = _refusal(lambda: ControllerParams(theta_aa=theta, bounds_aa=bounds))
+        assert (controller is None) == valid, controller
+        if not valid:  # one line, naming the block's field
+            assert "\n" not in controller and ("theta_aa" in controller or "bounds_aa" in controller)
+    if valid:
+        p = ModelParams(theta, bounds)
+        assert p.theta.ndim == 1 and np.array_equal(p.theta, np.ravel(theta))
+        assert minimize(lambda t: 0.0, theta, bounds=bounds)[0].tolist() == p.theta.tolist()
+    else:
+        assert "\n" not in model and ("theta" in model or "bounds" in model)
+        assert "theta0" in search or "bounds" in search
+
+
+@pytest.mark.parametrize("theta, bounds, message", [
+    pytest.param([math.nan], None, "theta must be a finite 1-D vector, got [nan]", id="NaN theta"),
+    pytest.param([math.inf], None, "theta must be a finite 1-D vector, got [inf]", id="inf theta"),
+    pytest.param([[0.1, 0.2]], None, "theta must be a finite 1-D vector, got [[0.1, 0.2]]",
+                 id="2-D theta"),
+    pytest.param([0.1], [[math.nan, 1.0]], "bounds must not be NaN, got [[nan, 1.0]]",
+                 id="NaN bound"),
+    pytest.param([0.5], [[1.0, 0.0]], "bounds: empty interval", id="low above high"),
+    pytest.param([9.0], [[0.0, 1.0]], "theta outside bounds", id="theta outside its box"),
+])
+def test_a_bad_start_or_box_is_refused_in_one_line_naming_its_field(theta, bounds, message):
+    def named(field):
+        return message.replace("theta", field[0]).replace("bounds", field[1])
+
+    assert _refusal(lambda: ModelParams(theta, bounds)) == message
+    assert _refusal(lambda: minimize(lambda t: 0.0, theta, bounds=bounds)) == named(("theta0", "bounds"))
+    if np.size(theta) == 1:
+        assert (_refusal(lambda: ControllerParams(theta_aa=theta, bounds_aa=bounds))
+                == named(("theta_aa", "bounds_aa")))
 
 
 # --- optimizer ---
@@ -123,6 +231,27 @@ def test_minimize_probes_backward_at_upper_bound():
             assert len(path) == 1 and trace.converged
 
 
+def test_minimize_stops_unconverged_at_a_non_finite_value():
+    # the slope at the start was -inf: each step went to theta - 0 * (-inf),
+    # NaN, for all 200 iterations
+    f = lambda t: math.inf if t[0] < 0.3 else (t[0] - 0.7) ** 2
+    theta, value, trace = minimize(f, [0.2], bounds=[[0.0, 1.0]])
+    assert theta.tolist() == [0.2] and value == math.inf
+    assert len(trace.records) == 1 and trace.converged is False
+    # a zero-width box has no slope, but its value is not finite either
+    _, value, trace = minimize(lambda t: math.inf, [0.3], bounds=[[0.3, 0.3]])
+    assert value == math.inf and len(trace.records) == 1 and trace.converged is False
+
+
+@pytest.mark.parametrize("wall", [math.inf, math.nan])
+def test_minimize_keeps_the_best_finite_theta_when_a_step_reaches_a_non_finite_value(wall):
+    f = lambda t: wall if t[0] > 0.25 else (t[0] - 0.7) ** 2
+    theta, value, trace = minimize(f, [0.0])
+    assert trace.converged is False and not math.isfinite(trace.records[-1]["value"])
+    assert theta[0] <= 0.25 and value == (theta[0] - 0.7) ** 2
+    assert all(math.isfinite(r["value"]) for r in trace.records[:-1])
+
+
 @pytest.mark.parametrize("bounds", [None, [[-1.0, 1.0]], [[0.0, 0.0], [-1.0, 1.0]]])
 def test_minimize_stops_on_a_flat_gradient_without_converging(bounds):
     # a flat finite difference says nothing about the optimum where a
@@ -132,20 +261,60 @@ def test_minimize_stops_on_a_flat_gradient_without_converging(bounds):
     assert len(trace.records) == 1 and trace.converged is False
 
 
-def test_kl_fit_passes_only_the_given_search_options(monkeypatch):
-    calls = []
+def test_kl_fit_gives_minimize_each_table_option_given_or_its_default(monkeypatch):
+    # every key of the fit.options table reaches the search: the given value,
+    # else the table's default (epsilon through the objective's KL floor)
+    calls, floors = [], []
 
     def recorded(f, theta0, **kwargs):
+        f(np.asarray(theta0, dtype=float))
         calls.append(kwargs)
         return np.asarray(theta0, dtype=float), 0.0, OptimizationTrace()
 
+    def kl(p, q, epsilon):
+        floors.append(epsilon)
+        return 0.0
+
     monkeypatch.setattr(modeling, "minimize", recorded)
-    reference = JointPMF.from_mapping({(0,): 1.0}, (1,))
+    monkeypatch.setattr(infocore, "kl_divergence", kl)
+    table = params.SECTIONS["fit.options"]
+    reference = JointPMF.from_mapping({(0,): 1.0}, (2,))
     spec = PartitionSpec("explicit-edges", edges=(np.array([0.0, 1.0, 2.0]),))
-    for options in (None, {"epsilon": 1e-9}, {"tol": 1e-3, "max_iters": 5, "initial_step": 0.1}):
-        kl_fit(None, reference, spec, ModelParams([0.0]), options)
-    assert calls == [{"bounds": None}, {"bounds": None},
-                     {"bounds": None, "tol": 1e-3, "max_iters": 5, "initial_step": 0.1}]
+    simulate = lambda p: SignalMatrix(np.array([[0.5], [1.5]]), ("x",))
+    given_options = [None, {}, {"epsilon": 1e-3}, {"max_iters": 7},
+                     {"tol": 1e-3, "max_iters": 5, "initial_step": 0.1, "epsilon": 0.5}]
+    for options in given_options:
+        kl_fit(simulate, reference, spec, ModelParams([0.0]), options)
+    for options, kwargs, floor in zip(given_options, calls, floors, strict=True):
+        expected = {key: (options or {}).get(key, default) for key, (_, default, _) in table.items()}
+        assert floor == expected.pop("epsilon")
+        assert kwargs == {"bounds": None, **expected}
+
+
+@pytest.mark.parametrize("options, message", [
+    # was ignored: the fit ran its default 200 iterations
+    ({"max_iter": 1}, "fit.options.max_iter is not a known key; known: tol, max_iters, epsilon, "
+                      "initial_step"),
+    # was accepted
+    ({"tol": -1}, "fit.options.tol must be >= 0, got -1.0"),
+    # returned an empty trace
+    ({"max_iters": 0}, "fit.options.max_iters must be >= 1, got 0"),
+    ({"epsilon": None}, "fit.options.epsilon must be a number, got None"),
+])
+def test_fit_options_are_refused_by_the_table_as_the_controller_options_are(options, message):
+    model = mock.Mock(side_effect=AssertionError("the model ran"))
+    reference = JointPMF.from_mapping({(0,): 1.0}, (2,))
+    spec = PartitionSpec("explicit-edges", edges=(np.array([0.0, 1.0, 2.0]),))
+    init = ModelParams([0.0], [[-1.0, 1.0]])
+    for fit in (lambda: kl_descent(model, reference, init, options),
+                lambda: kl_fit(model, reference, spec, init, options)):
+        with pytest.raises(ValueError) as exc:
+            fit()
+        assert str(exc.value) == message
+    model.assert_not_called()
+    with pytest.raises(ValueError, match=r"^control.options.max_iter is not a known key; known: "):
+        optimize_controller(LinearPlant(), ControlTarget([0.0], [[0.25]]), ControllerParams(),
+                            {"max_iter": 1})
 
 
 def test_trace_csv_roundtrip(tmp_path):

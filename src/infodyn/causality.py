@@ -17,8 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .discretization import OccupancyWarning, SymbolSeries, _warn_if_sparse, estimate_joint_pmf
-from .infocore import _weights_entropy
-from .pmf import JointPMF, _count_codes, _marginal_walk
+from .pmf import JointPMF, _count_codes, _marginal_walk, _weights_entropy
 from .signals import SignalMatrix
 
 __all__ = [
@@ -121,9 +120,27 @@ def _flux_lattice(joint: JointPMF, variables, order: int, target: int = 0, lag: 
     return FluxReport(target, lag, fluxes, leak, target_entropy), present
 
 
-def _joint(symbols: SymbolSeries, target: int, lag: int) -> JointPMF:
-    selection = [(target, lag)] + [(v, 0) for v in range(symbols.n_variables)]
-    return estimate_joint_pmf(symbols, selection)
+def _fluxes(symbols: SymbolSeries, targets, lag: int, variables, order: int) -> list[FluxReport]:
+    """The _flux_lattice report of each of `targets`, `lag` samples on, from
+    the subsets of `variables` with 1..order members, all read from one
+    joint per target over (target at +lag, every variable at lag 0).
+
+    The {A: H(C)} table of the present variables is computed once and
+    shared by every target. The occupancy warning of the joint estimates is
+    given once, for the joint with the most occupied cells (they all count
+    the same rows), at the line that called the public function calling
+    this one."""
+    selection = [(v, 0) for v in range(symbols.n_variables)]
+    reports, present, occupied = [], None, 0
+    for target in targets:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OccupancyWarning)
+            joint = estimate_joint_pmf(symbols, [(target, lag)] + selection)
+        occupied = max(occupied, joint.support_count)
+        report, present = _flux_lattice(joint, variables, order, target, lag, present)
+        reports.append(report)
+    _warn_if_sparse(occupied, symbols.n_samples - lag, stacklevel=3)
+    return reports
 
 
 def information_flux(symbols: SymbolSeries, target: int, subset, lag: int = 1) -> float:
@@ -141,7 +158,7 @@ def information_flux(symbols: SymbolSeries, target: int, subset, lag: int = 1) -
         if not 0 <= v < symbols.n_variables:
             raise ValueError(f"invalid variable index {v}")
     _checked_order(len(subset), None)  # the size of the lattice
-    return _flux_lattice(_joint(symbols, target, lag), subset, len(subset))[0].fluxes[subset]
+    return _fluxes(symbols, [target], lag, subset, len(subset))[0].fluxes[subset]
 
 
 def flux_report(symbols: SymbolSeries, target: int, lag: int = 1,
@@ -154,29 +171,14 @@ def flux_report(symbols: SymbolSeries, target: int, lag: int = 1,
     """
     # refuse an oversized lattice before estimating the joint
     order = _checked_order(symbols.n_variables, max_order, target, lag)
-    return _flux_lattice(_joint(symbols, target, lag), range(symbols.n_variables), order,
-                         target, lag)[0]
+    return _fluxes(symbols, [target], lag, range(symbols.n_variables), order)[0]
 
 
 def flux_reports(symbols: SymbolSeries, lag: int = 1, max_order: int | None = None) -> list[FluxReport]:
-    """flux_report of every target variable in turn, equal to it bit for bit.
-
-    The entropies of the present variables alone are computed once and
-    shared by every target. The occupancy warning of the joint estimates is
-    given once, for the joint with the most occupied cells (they all count
-    the same rows)."""
-    order = _checked_order(symbols.n_variables, max_order, lag=lag)
-    reports, present, occupied = [], None, 0
-    for target in range(symbols.n_variables):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OccupancyWarning)
-            joint = _joint(symbols, target, lag)
-        occupied = max(occupied, joint.support_count)
-        report, present = _flux_lattice(joint, range(symbols.n_variables), order, target, lag,
-                                        present)
-        reports.append(report)
-    _warn_if_sparse(occupied, symbols.n_samples - lag, stacklevel=2)
-    return reports
+    """flux_report of every target variable in turn, equal to it bit for bit,
+    with one occupancy warning for them all (see _fluxes)."""
+    n = symbols.n_variables
+    return _fluxes(symbols, range(n), lag, range(n), _checked_order(n, max_order, lag=lag))
 
 
 def flux_report_from_pmf(joint: JointPMF, target: int = 0, lag: int = 1, max_order: int | None = None) -> FluxReport:
@@ -230,7 +232,8 @@ def _check_map_order(order: int):
 def causality_map(symbols: SymbolSeries, lag: int = 1, order: int = 1) -> CausalityMap:
     """Flux from every subset of size <= order to every target variable."""
     _check_map_order(order)  # before any joint is estimated
-    reports = flux_reports(symbols, lag, min(order, symbols.n_variables))
+    n = symbols.n_variables
+    reports = _fluxes(symbols, range(n), lag, range(n), _checked_order(n, min(order, n), lag=lag))
     return CausalityMap.from_reports(reports, order)
 
 

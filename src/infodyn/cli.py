@@ -89,8 +89,6 @@ def _load_signal(given: dict, cfg: dict):
 
 
 def cmd_causality(given: dict, cfg: dict, out_dir: Path) -> int:
-    import logging
-
     from . import causality
     from .discretization import PartitionSpec, discretize
 
@@ -107,13 +105,11 @@ def cmd_causality(given: dict, cfg: dict, out_dir: Path) -> int:
             label = "+".join(signal.names[v] for v in subset)
             fh.write(label + "," + ",".join(repr(float(v)) for v in cmap.values[s]) + "\n")
 
-    log = logging.getLogger(__name__)
     leaks = {}
     residuals = {}
     for name, rep in zip(signal.names, reports):
         residuals[name] = abs(sum(rep.fluxes.values()) + rep.leak - rep.target_entropy)
         leaks[name] = rep.normalized_leak
-        log.info("leak fraction %s: %.6f", name, leaks[name])
     identity_ok = all(r <= tol for r in residuals.values())
     _write_report(out_dir, {
         "command": "causality",
@@ -194,6 +190,8 @@ def cmd_control(given: dict, cfg: dict, out_dir: Path) -> int:
     from . import control, systems
 
     plant = systems.LinearPlant(**cfg["plant"])
+    if plant.noise_std == 0:  # the uncontrolled state would never leave 0
+        raise ConfigError(f"plant.noise_std must be > 0 for control, got {plant.noise_std}")
     target = _built("target.", control.ControlTarget, **cfg["target"])
     init = _built("init.", control.ControllerParams, **cfg["init"])
     opts = dict(cfg["options"])  # the search reads the resolved options

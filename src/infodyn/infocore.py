@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .pmf import JointPMF, marginalize
+from .pmf import JointPMF, _weights_entropy, marginalize
 
 __all__ = [
     "entropy",
@@ -44,14 +44,6 @@ def entropy(pmf: JointPMF, over=None) -> float:
     """Shannon entropy H (bits) of the marginal on `over` (default: all)."""
     p = pmf.probs if over is None else marginalize(pmf, _as_dims(over)).probs
     return _weights_entropy(p)
-
-
-def _weights_entropy(weights) -> float:
-    """Entropy (bits) of the distribution proportional to positive `weights`
-    (counts or masses): -sum(p log2 p) with p = weights / sum(weights). A
-    single cell has entropy +0.0 (0.0 - 0.0, where negating would give -0.0)."""
-    p = weights / np.add.reduce(weights)
-    return float(0.0 - np.add.reduce(p * np.log2(p)))
 
 
 def conditional_entropy(pmf: JointPMF, target, given) -> float:

@@ -19,7 +19,7 @@ from .descent import checked_start, minimize
 from .discretization import (PartitionSpec, SymbolSeries, _warn_if_sparse, discretize,
                              estimate_joint_pmf)
 from .params import resolve
-from .pmf import JointPMF
+from .pmf import JointPMF, _cell_codes
 
 __all__ = [
     "ModelAssessment",
@@ -205,7 +205,7 @@ class AffineNoise:
         spec.bins_for(1)  # refuses a spec of other than one variable
         counts = self.counts(theta, spec.edges[0])
         cells = np.flatnonzero(counts)
-        pmf = JointPMF.from_counts(cells[:, None], counts[cells], (counts.size,))
+        pmf = JointPMF((counts.size,), cells[:, None], counts[cells])
         _warn_if_sparse(pmf.support_count, self.noise.size, stacklevel=2)
         return pmf
 
@@ -236,6 +236,7 @@ def ml_equivalence_check(samples: SymbolSeries, family, theta_grid) -> MLEquival
         raise ValueError("empty theta grid")
     selection = [(v, 0) for v in range(samples.n_variables)]
     empirical = estimate_joint_pmf(samples, selection)
+    codes = _cell_codes(samples.codes.T, samples.alphabet)  # each sample's cell
     kl_values = np.empty(len(theta_grid))
     log_liks = np.empty(len(theta_grid))
     for k, theta in enumerate(theta_grid):
@@ -243,8 +244,8 @@ def ml_equivalence_check(samples: SymbolSeries, family, theta_grid) -> MLEquival
         if pmf.dims != tuple(samples.alphabet):
             raise ValueError("family PMF dims do not match sample alphabet")
         kl_values[k] = infocore.kl_divergence(empirical, pmf)
-        dense = pmf.to_dense()
-        cell_p = dense[tuple(samples.codes.T)]
+        hit = np.searchsorted(pmf.codes, codes).clip(max=pmf.support_count - 1)
+        cell_p = np.where(pmf.codes[hit] == codes, pmf.probs[hit], 0.0)  # 0.0 off the support
         log_liks[k] = np.sum(np.log(cell_p)) if np.all(cell_p > 0) else -np.inf
     if np.ptp(log_liks) == 0 and len(theta_grid) > 1:
         raise ValueError("degenerate family: constant over the grid")

@@ -31,13 +31,15 @@ class JointPMF:
     dims     -- alphabet size per dimension, stored as a tuple of ints
     codes    -- (n_support,) distinct int64 cell codes, increasing
     probs    -- (n_support,) probabilities, strictly positive, summing to 1
-    counts   -- optional (n_support,) positive integer sample counts that
-                `probs` normalizes (kept by estimates and `from_counts`)
+    counts   -- (n_support,) positive integer sample counts that `probs`
+                normalizes, or None for a PMF given by its probabilities
 
     The constructor takes the support as (n_rows, ndim) integer symbol
-    tuples in any order, and sums the masses (and counts) of repeated rows;
-    `indices` gives them back, in code order. Two PMFs are equal when their
-    dims, codes and probabilities are; counts are not compared.
+    tuples in any order, with one weight per row: probabilities that sum
+    to 1, or positive integer sample counts. It sums the weights of
+    repeated rows; `indices` gives the rows back, in code order. Two PMFs
+    are equal when their dims, codes and probabilities are; counts are not
+    compared.
     """
 
     dims: tuple[int, ...]
@@ -45,47 +47,40 @@ class JointPMF:
     probs: np.ndarray
     counts: np.ndarray | None
 
-    def __init__(self, dims, indices, probs, counts=None):
+    def __init__(self, dims, indices, weights):
         dims = tuple(int(d) for d in dims)
         idx = np.atleast_2d(np.asarray(indices, dtype=np.int64))
-        p = np.asarray(probs, dtype=float)
-        if idx.shape[0] != p.shape[0]:
-            raise ValueError("indices/probs length mismatch")
+        w = np.asarray(weights)
+        if idx.shape[0] != w.shape[0]:
+            raise ValueError("indices/weights length mismatch")
         if idx.shape[1] != len(dims):
             raise ValueError("indices width does not match dims")
         outside = ((idx < 0) | (idx >= np.asarray(dims, dtype=np.int64))).any(axis=0)
         if outside.any():
             d = int(np.flatnonzero(outside)[0])
             raise ValueError(f"dimension {d}: index outside [0, {dims[d]})")
-        if np.any(p <= 0):
-            raise ValueError("stored masses must be strictly positive")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"total mass {p.sum()} not 1")
-        if counts is not None:
-            counts = np.asarray(counts)
-            if (counts.shape != p.shape or not np.issubdtype(counts.dtype, np.integer)
-                    or np.any(counts <= 0)):
-                raise ValueError("counts must be one positive integer per support row")
-        self._tally(dims, _cell_codes(idx.T, dims), p, counts)
+        if np.any(w <= 0):
+            raise ValueError("stored weights must be strictly positive")
+        if not np.issubdtype(w.dtype, np.integer):  # integer weights are counts
+            w = w.astype(float)
+            if abs(w.sum() - 1.0) > 1e-9:
+                raise ValueError(f"total mass {w.sum()} not 1")
+        self._tally(dims, _cell_codes(idx.T, dims), w)
 
     @classmethod
-    def _from_codes(cls, dims, codes, probs=None) -> "JointPMF":
+    def _from_codes(cls, dims, codes, weights=None) -> "JointPMF":
         """PMF of the rows with cell codes `codes` over `dims` (see _tally)."""
         pmf = object.__new__(cls)
-        pmf._tally(tuple(int(d) for d in dims), codes, probs)
+        pmf._tally(tuple(int(d) for d in dims), codes, weights)
         return pmf
 
-    def _tally(self, dims, codes, probs, counts=None):
+    def _tally(self, dims, codes, weights=None):
         """Store the distinct `codes`, increasing, with their rows' summed
-        `probs` (and `counts`); with `probs` None, the rows' counts, normalized."""
-        n_cells = math.prod(dims)
-        if probs is None:
-            cells, counts = _count_codes(codes, n_cells=n_cells)
-            probs = counts / counts.sum()
-        else:
-            cells, probs = _count_codes(codes, probs, n_cells)
-            if counts is not None:
-                counts = _count_codes(codes, counts, n_cells)[1]
+        `weights`: float masses, or integer counts (one per row when
+        `weights` is None) kept as `counts` and normalized into `probs`."""
+        cells, totals = _count_codes(codes, weights, math.prod(dims))
+        counts = totals if totals.dtype == np.int64 else None
+        probs = totals if counts is None else counts / counts.sum()
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "codes", cells)
         # exact-ish renormalization so the 1e-12 invariant holds downstream
@@ -129,13 +124,6 @@ class JointPMF:
         a = np.asarray(array, dtype=float)
         idx = np.argwhere(a > 0)
         return cls(tuple(a.shape), idx, a[a > 0])
-
-    @classmethod
-    def from_counts(cls, indices, counts, dims) -> "JointPMF":
-        """PMF normalizing `counts`; integer counts are kept as `counts`."""
-        counts = np.asarray(counts)
-        kept = counts if np.issubdtype(counts.dtype, np.integer) else None
-        return cls(tuple(dims), indices, counts / counts.sum(), kept)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(math.prod(self.dims))
@@ -198,6 +186,14 @@ def _count_codes(codes, weights=None, n_cells=None):
     if exact:
         totals = totals.astype(np.int64)
     return cells, totals
+
+
+def _weights_entropy(weights) -> float:
+    """Entropy (bits) of the distribution proportional to positive `weights`
+    (counts or masses): -sum(p log2 p) with p = weights / sum(weights). A
+    single cell has entropy +0.0 (0.0 - 0.0, where negating would give -0.0)."""
+    p = weights / np.add.reduce(weights)
+    return float(0.0 - np.add.reduce(p * np.log2(p)))
 
 
 def _marginal_walk(cells, weights, dims, removable, depth):

@@ -438,7 +438,7 @@ def test_dense_tail_yields_the_tallies_of_the_sparse_walk(weighting, data):
 # two occupied cells of 10**10 counts each over ten 10-symbol variables
 HUGE_COUNTS = CAPPED + """from infodyn.causality import flux_report_from_pmf
 from infodyn.pmf import JointPMF
-joint = JointPMF.from_counts([[0] * 10, [1] * 10], [10**10, 10**10], (10,) * 10)
+joint = JointPMF((10,) * 10, [[0] * 10, [1] * 10], [10**10, 10**10])
 report = flux_report_from_pmf(joint, max_order=1)
 print(report.leak, report.target_entropy)
 """
@@ -522,3 +522,20 @@ def test_flux_reports_warn_once_for_the_fullest_joint():
         flux_reports(symbols)
     assert [type(w.message) for w in caught] == [OccupancyWarning]
     assert f"occupied cells ({occupied}) exceed 10% of sample count (399)" in str(caught[0].message)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda symbols: flux_report(symbols, 0),
+    lambda symbols: information_flux(symbols, 0, [1]),
+    lambda symbols: flux_reports(symbols),
+    lambda symbols: causality_map(symbols),
+], ids=["flux_report", "information_flux", "flux_reports", "causality_map"])
+def test_each_flux_entry_point_warns_once_at_its_callers_line(entry):
+    # 3 variables at 8 symbols on 500 samples fill more than 10% of each joint's cells
+    symbols = SymbolSeries(np.random.default_rng(3).integers(0, 8, size=(500, 3)), (8, 8, 8))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        entry(symbols)
+    assert [type(w.message) for w in caught] == [OccupancyWarning]
+    # the line of the lambda, which calls the public function
+    assert (caught[0].filename, caught[0].lineno) == (__file__, entry.__code__.co_firstlineno)

@@ -2,7 +2,6 @@ import contextlib
 import csv
 import io
 import json
-import logging
 import math
 import os
 import re
@@ -75,7 +74,7 @@ def test_causality_from_system(tmp_path):
     assert header == "subset,to_x,to_y"
 
 
-def test_causality_identity_failure_exits_1(tmp_path, capsys, caplog, monkeypatch):
+def test_causality_identity_failure_exits_1(tmp_path, capsys, monkeypatch):
     # A tolerance below 0 is refused, and this run's residuals are 0, so the
     # failure comes from leaks moved by 1e-9 bits, past the default 1e-10
     flux_reports = causality.flux_reports
@@ -87,7 +86,6 @@ def test_causality_identity_failure_exits_1(tmp_path, capsys, caplog, monkeypatc
         return reports
 
     monkeypatch.setattr(causality, "flux_reports", leaks_moved)
-    caplog.set_level(logging.INFO, logger="infodyn.cli")
     code, out = run(tmp_path, "causality", {
         "system": {"kind": "coupled-logistic", "n_steps": 5000, "transient_steps": 500, "seed": 2},
         "bins": 4,
@@ -95,9 +93,9 @@ def test_causality_identity_failure_exits_1(tmp_path, capsys, caplog, monkeypatc
     assert code == 1
     report = json.loads((out / "report.json").read_text())
     assert report["identity_ok"] is False
-    # leak fractions go to the report and the log, not to stdout
+    # leak fractions go to the report alone, not to stdout
     assert capsys.readouterr().out == ""
-    assert "leak fraction x:" in caplog.text and "leak fraction y:" in caplog.text
+    assert sorted(report["leak_fractions"]) == ["x", "y"]
 
 
 def test_causality_warns_once_for_the_fullest_joint(tmp_path):
@@ -932,6 +930,14 @@ def test_control_runs_when_the_gain_bounds_exclude_zero(tmp_path):
     # was refused only after 6 rollouts
     pytest.param({"target": {"mu": [0, 1], "sigma": [[0.25, 0.0], [0.0, 0.25]]}},
                  "target.mu must hold one entry, got [0.0, 1.0]", id="two-variable target"),
+    # a noiseless plant stays at 0: was "degenerate rescale: ...", or with no sensor
+    # noise and a zero target variance "edges must be strictly increasing", after rollouts
+    pytest.param({"plant": {"noise_std": 0.0}, "options": {"n_steps": 600, "transient": 100}},
+                 "plant.noise_std must be > 0 for control, got 0.0", id="noiseless plant"),
+    pytest.param({"plant": {"noise_std": 0.0, "sensor_noise_std": 0.0},
+                  "target": {"sigma": [[0.0]]}, "options": {"n_steps": 600, "transient": 100}},
+                 "plant.noise_std must be > 0 for control, got 0.0",
+                 id="noiseless plant and sensor"),
 ])
 def test_control_refuses_another_controller_shape_before_any_rollout(tmp_path, capsys, monkeypatch,
                                                                      config, message):
@@ -990,11 +996,12 @@ def test_huge_allocation_exits_5_in_one_line(tmp_path, command, config, size):
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
-# A child process that runs the CLI, then prints the infodyn modules loaded
+# A child process that runs the CLI, then prints the infodyn modules loaded,
+# and logging if it was imported
 LOADED_BY_MAIN = """import sys
 from infodyn.cli import main
 code = main(sys.argv[1:])
-print(" ".join(sorted(m for m in sys.modules if m.startswith("infodyn."))))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("infodyn.") or m == "logging")))
 sys.exit(code)
 """
 
@@ -1003,7 +1010,7 @@ sys.exit(code)
     ("simulate", {"system": {"kind": "coupled-logistic", "n_steps": 300, "transient_steps": 0}},
      {"causality", "control", "descent", "modeling"}),
     ("causality", {"input": "signal.csv", "bins": 2},
-     {"control", "descent", "modeling", "systems"}),
+     {"control", "descent", "infocore", "logging", "modeling", "systems"}),
     ("fit", {"true_theta": [0.5, 1.2], "init_theta": [0.0, 0.8], "bounds": [[-2, 2], [0.1, 3]],
              "n_samples": 50000, "ml_check": {}}, {"causality", "control", "systems"}),
     ("control", {"options": {"n_steps": 400, "transient": 100, "outer_iters": 1,
@@ -1021,7 +1028,7 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, config, not
                            "--out", "out"],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    loaded = {m.split(".")[1] for m in done.stdout.split()}
+    loaded = {m.removeprefix("infodyn.") for m in done.stdout.split()}
     assert "cli" in loaded and loaded & not_loaded == set()
 
 

@@ -118,6 +118,24 @@ def test_capacity_bsc_analytic():
     assert channel_capacity(P) == pytest.approx(1 - binary_entropy(p), abs=1e-6)
 
 
+@pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.8])
+def test_capacity_z_channel_analytic(p):
+    # the Z channel's optimal input is not uniform, so the input is updated
+    P = np.array([[1.0, 0.0], [p, 1 - p]])
+    want = np.log2(1 + (1 - p) * p ** (p / (1 - p)))
+    assert channel_capacity(P) == pytest.approx(want, abs=1e-8)
+
+
+def test_capacity_out_of_iterations_warns_and_returns_the_lower_bound():
+    p = 0.5
+    P = np.array([[1.0, 0.0], [p, 1 - p]])
+    uniform_mi = binary_entropy((1 - p) / 2) - 0.5 * binary_entropy(p)  # I(X;Y), X uniform
+    with pytest.warns(UserWarning, match="capacity iteration hit max_iters"):
+        lower = channel_capacity(P, max_iters=1)
+    assert lower == pytest.approx(uniform_mi, abs=1e-12)
+    assert lower < channel_capacity(P) - 1e-3
+
+
 def test_capacity_useless_channel_zero():
     P = np.array([[0.5, 0.5], [0.5, 0.5]])
     assert channel_capacity(P) == pytest.approx(0.0, abs=1e-9)

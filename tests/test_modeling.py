@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,6 +29,7 @@ from infodyn.modeling import (
 from infodyn.pmf import JointPMF
 from infodyn.signals import SignalMatrix
 from infodyn.systems import LinearPlant
+from test_cli import CAPPED
 
 
 def test_assessment_invariants():
@@ -390,6 +395,58 @@ def test_ml_equivalence_bernoulli():
     report = ml_equivalence_check(SymbolSeries(codes, (2,)), family, [i / 10 for i in range(1, 10)])
     assert report.agree
     assert report.kl_argmin_index == 2  # p = 0.3
+
+
+def dense_log_likelihood(samples, pmf):
+    """Oracle: the samples' log-likelihood read off pmf's dense grid."""
+    cell_p = pmf.to_dense()[tuple(samples.codes.T)]
+    return np.sum(np.log(cell_p)) if np.all(cell_p > 0) else -np.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ml_log_likelihoods_match_dense_grid_oracle(data):
+    alphabet = tuple(data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=3)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    samples = SymbolSeries(rng.integers(0, alphabet, size=(data.draw(st.integers(1, 40)),
+                                                             len(alphabet))), alphabet)
+    # each family PMF on a random part of the grid, so some samples may miss it
+    pmfs = []
+    for _ in range(3):
+        mass = rng.random(alphabet) * (rng.random(alphabet) < 0.8)
+        mass.flat[rng.integers(mass.size)] += 0.1
+        pmfs.append(JointPMF.from_dense(mass / mass.sum()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an infinite KL warns
+        try:
+            report = ml_equivalence_check(samples, lambda k: pmfs[k], range(3))
+        except ValueError as exc:  # the same likelihood at every grid point
+            assert "degenerate family" in str(exc)
+            return
+    want = [dense_log_likelihood(samples, pmf) for pmf in pmfs]
+    assert np.array_equal(report.log_likelihoods, want)  # bitwise
+
+
+# 50 samples of 40 binary variables, each row all 0 or all 1
+ML_CHECK_40_BITS = CAPPED + """import numpy as np
+from infodyn.discretization import SymbolSeries
+from infodyn.modeling import ml_equivalence_check
+from infodyn.pmf import JointPMF
+ones = np.random.default_rng(0).random(50) < 0.7
+samples = SymbolSeries(np.repeat(ones.astype(np.int64)[:, None], 40, axis=1), (2,) * 40)
+family = lambda p: JointPMF((2,) * 40, [[0] * 40, [1] * 40], [1 - p, p])
+print(ml_equivalence_check(samples, family, [0.2, 0.5, 0.8]).agree)
+"""
+
+
+def test_ml_equivalence_of_a_wide_family_stays_within_the_cap():
+    # each family PMF was read off its dense grid: 2**40 cells raised
+    # "MemoryError: Unable to allocate 8.00 TiB" under the 2 GiB cap
+    env = {**os.environ, "PYTHONPATH": str(Path(modeling.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", ML_CHECK_40_BITS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
 
 
 def test_ml_equivalence_degenerate_family():

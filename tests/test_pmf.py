@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from infodyn import infocore
+from infodyn.causality import flux_report_from_pmf
 from infodyn.discretization import SymbolSeries, estimate_joint_pmf
 from infodyn.pmf import JointPMF, _cell_codes, _count_codes, marginalize
 from infodyn.signals import SignalMatrix
@@ -28,11 +29,13 @@ def test_from_dense_roundtrip():
 
 
 def test_rows_are_stored_distinct_and_sorted():
-    pmf = JointPMF((2, 3), [[1, 0], [0, 2], [1, 0], [0, 1]], [0.1, 0.2, 0.3, 0.4],
-                   counts=np.array([1, 2, 3, 4]))
+    rows = [[1, 0], [0, 2], [1, 0], [0, 1]]
+    pmf = JointPMF((2, 3), rows, [0.1, 0.2, 0.3, 0.4])
     assert pmf.indices.tolist() == [[0, 1], [0, 2], [1, 0]]
-    assert pmf.probs.tolist() == [0.4, 0.2, 0.1 + 0.3]
-    assert pmf.counts.tolist() == [4, 2, 4] and pmf.counts.dtype == np.int64
+    assert pmf.probs.tolist() == [0.4, 0.2, 0.1 + 0.3] and pmf.counts is None
+    counted = JointPMF((2, 3), rows, np.array([1, 2, 3, 4]))
+    assert counted.indices.tolist() == [[0, 1], [0, 2], [1, 0]]
+    assert counted.counts.tolist() == [4, 2, 4] and counted.counts.dtype == np.int64
 
 
 def test_equality_compares_values_and_never_raises():
@@ -62,7 +65,7 @@ def test_mass_must_sum_to_one():
 
 def test_negative_mass_rejected():
     with pytest.raises(ValueError):
-        JointPMF(dims=(2,), indices=np.array([[0], [1]]), probs=np.array([1.5, -0.5]))
+        JointPMF(dims=(2,), indices=np.array([[0], [1]]), weights=np.array([1.5, -0.5]))
 
 
 @pytest.mark.parametrize("mapping, dim", [({(5, 0): 0.5, (1, 1): 0.5}, 0),
@@ -72,21 +75,48 @@ def test_index_rows_outside_dims_rejected(mapping, dim):
         JointPMF.from_mapping(mapping, (2, 2))
 
 
-def test_from_counts_normalizes():
-    pmf = JointPMF.from_counts(np.array([[0], [1]]), [3, 1], (2,))
+def test_integer_weights_are_normalized_counts():
+    # integer weights that do not sum to 1 are counts, not a total mass of 4
+    pmf = JointPMF((2,), np.array([[0], [1]]), [3, 1])
     assert pmf.mass.get((0,), 0.0) == pytest.approx(0.75)
     assert pmf.counts.tolist() == [3, 1] and pmf.counts.dtype == np.int64
 
 
-def test_from_counts_keeps_only_integer_counts():
-    pmf = JointPMF.from_counts(np.array([[0], [1]]), [1.5, 0.5], (2,))
+def test_only_integer_weights_are_kept_as_counts():
+    pmf = JointPMF((2,), np.array([[0], [1]]), [0.75, 0.25])
     assert pmf.counts is None and pmf.probs.tolist() == [0.75, 0.25]
+    with pytest.raises(ValueError, match="total mass 2.0 not 1"):
+        JointPMF((2,), np.array([[0], [1]]), [1.5, 0.5])
 
 
-@pytest.mark.parametrize("counts", [[3], [3, 0], [3.0, 1.0], [-3, 1]])
-def test_counts_must_be_one_positive_integer_per_row(counts):
-    with pytest.raises(ValueError, match="counts must be one positive integer per support row"):
-        JointPMF((2,), np.array([[0], [1]]), [0.75, 0.25], counts=np.array(counts))
+@pytest.mark.parametrize("counts, message", [
+    ([3], "indices/weights length mismatch"),
+    ([3, 0], "stored weights must be strictly positive"),
+    ([3.0, 1.0], "total mass 4.0 not 1"),  # float weights are masses, not counts
+    ([-3, 1], "stored weights must be strictly positive"),
+], ids=[f"counts{i}" for i in range(4)])
+def test_counts_must_be_one_positive_integer_per_row(counts, message):
+    with pytest.raises(ValueError, match=message):
+        JointPMF((2,), np.array([[0], [1]]), np.array(counts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_rows_with_repeats_hold_one_distribution(data):
+    # the masses that infocore reads and the counts that the flux lattice
+    # reads are one distribution, however often a row repeats
+    dims = tuple(data.draw(st.lists(st.integers(2, 4), min_size=2, max_size=4)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, dims, size=(data.draw(st.integers(1, 30)), len(dims)))
+    rows = np.concatenate([rows, rows[rng.integers(0, len(rows), size=len(rows))]])
+    counts = rng.integers(1, 50, size=len(rows))
+    pmf = JointPMF(dims, rows, counts)
+    cells, inverse = np.unique(_cell_codes(rows.T, dims), return_inverse=True)
+    summed = np.bincount(inverse, counts)
+    assert np.array_equal(pmf.codes, cells) and np.array_equal(pmf.counts, summed)
+    np.testing.assert_allclose(pmf.probs, summed / summed.sum(), rtol=1e-15, atol=0)
+    assert (flux_report_from_pmf(pmf).target_entropy
+            == pytest.approx(infocore.entropy(pmf, [0]), abs=1e-12))
 
 
 def test_estimate_keeps_the_sample_counts():
@@ -177,8 +207,7 @@ def dense_estimate(symbols, selection):
     stacked = np.column_stack([symbols.codes[lag:lag + n_valid, v] for v, lag in selection])
     counts = np.bincount(np.ravel_multi_index(tuple(stacked.T), dims))
     support = np.flatnonzero(counts)
-    return JointPMF.from_counts(np.column_stack(np.unravel_index(support, dims)),
-                                counts[support], dims)
+    return JointPMF(dims, np.column_stack(np.unravel_index(support, dims)), counts[support])
 
 
 @st.composite

@@ -204,6 +204,21 @@ def test_partition_spec_validation():
     assert PartitionSpec("explicit-edges", edges=([-np.inf, 0, np.inf],)).bins_for(1) == [2]
 
 
+def test_bins_per_variable_list_gives_each_variable_its_own_count():
+    spec = PartitionSpec(bins_per_variable=[2, 3, 5])
+    assert spec.bins_for(3) == [2, 3, 5]
+    signal = SignalMatrix(np.random.default_rng(0).standard_normal((60, 3)), ("a", "b", "c"))
+    symbols = discretize(signal, spec)
+    assert symbols.alphabet == (2, 3, 5)
+    assert [np.unique(symbols.codes[:, v]).tolist() for v in range(3)] == [
+        [0, 1], [0, 1, 2], [0, 1, 2, 3, 4]]
+    with pytest.raises(ValueError, match="bins_per_variable length does not match variable count"):
+        spec.bins_for(2)
+    edges = PartitionSpec("explicit-edges", edges=([0.0, 1.0, 2.0],))
+    with pytest.raises(ValueError, match="edges count does not match variable count"):
+        edges.bins_for(2)
+
+
 def test_symbol_series_validation():
     with pytest.raises(ValueError, match="code outside"):
         SymbolSeries(np.array([[0], [3]]), (2,))
